@@ -2,6 +2,7 @@ package cart
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -147,6 +148,149 @@ func TestAllgatherAllocsSizeIndependent(t *testing.T) {
 			sb, lb := small.AllocedBytesPerOp(), large.AllocedBytesPerOp()
 			if sb > 0 && lb > sb*16 {
 				t.Errorf("B/op scaled near-linearly with block size: m=16 -> %d, m=512 -> %d", sb, lb)
+			}
+		})
+	}
+}
+
+// measureSteadyAllocs returns the world-wide heap allocations per
+// collective in steady state on the 9-rank 3x3 Moore torus: setup builds
+// each rank's operation, every rank warms it up (round slots, wire pool and
+// mailbox free lists fill on first use), and only the barrier-fenced loop
+// after that is counted. The watchdog timer and the deadlock monitor are
+// off, as in the benchmark, so no background goroutine allocates into the
+// window and a blocking wait registers nothing.
+func measureSteadyAllocs(t *testing.T, setup func(c *Comm, nbhLen int) (func() error, error)) float64 {
+	t.Helper()
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		err := mpi.Run(mpi.Config{Procs: 9, Timeout: -1, DeadlockPoll: -1}, func(w *mpi.Comm) error {
+			nbh, err := vec.Stencil(2, 3, -1)
+			if err != nil {
+				return err
+			}
+			c, err := NeighborhoodCreate(w, []int{3, 3}, nil, nbh, nil)
+			if err != nil {
+				return err
+			}
+			op, err := setup(c, len(nbh))
+			if err != nil {
+				return err
+			}
+			for i := 0; i < 50; i++ {
+				if err := op(); err != nil {
+					return err
+				}
+			}
+			if err := mpi.Barrier(w); err != nil {
+				return err
+			}
+			if w.Rank() == 0 {
+				b.ResetTimer()
+			}
+			if err := mpi.Barrier(w); err != nil {
+				return err
+			}
+			for i := 0; i < b.N; i++ {
+				if err := op(); err != nil {
+					return err
+				}
+			}
+			if err := mpi.Barrier(w); err != nil {
+				return err
+			}
+			if w.Rank() == 0 {
+				b.StopTimer()
+			}
+			return nil
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	})
+	return float64(res.MemAllocs) / float64(res.N)
+}
+
+// lossyPool reports whether sync.Pool loses entries without a GC cycle, as
+// it does by design under the race detector (a quarter of all Puts, to
+// shake out reuse races). The wire pool then misses at random and an
+// absolute allocation count means nothing.
+func lossyPool() bool {
+	var p sync.Pool
+	x := new(int)
+	for i := 0; i < 200; i++ {
+		p.Put(x)
+		if p.Get() == nil {
+			return true
+		}
+	}
+	return false
+}
+
+// TestCollectiveAllocsAreOnePerRank is the absolute allocation gate: a
+// schedule round's send and receive are persistent slots restarted per
+// execution (mpi/persistent.go), so executing a plan allocates no
+// per-message object at all. What remains is one object per rank per
+// collective — Run's (send, recv, temp) buffer array, Start's Future —
+// whatever the number of rounds: 9 on this world, against 36 messages per
+// combining alltoall and 72 per trivial one. A single per-message
+// allocation reintroduced anywhere on the path adds at least 36.
+func TestCollectiveAllocsAreOnePerRank(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation benchmark in -short mode")
+	}
+	if lossyPool() {
+		t.Skip("sync.Pool drops entries in this build (race detector): gathered sends miss the wire pool at random")
+	}
+	if mpi.TransportEnvActive() {
+		t.Skip("loopback property: a socket backend frames and decodes every message")
+	}
+	const m, ranks = 16, 9
+	runOf := func(init func(c *Comm) (*Plan, error), sendBlocks func(t int) int) func(c *Comm, t int) (func() error, error) {
+		return func(c *Comm, t int) (func() error, error) {
+			plan, err := init(c)
+			if err != nil {
+				return nil, err
+			}
+			send := make([]int64, sendBlocks(t)*m)
+			recv := make([]int64, t*m)
+			return func() error { return Run(plan, send, recv) }, nil
+		}
+	}
+	perNeighbor := func(t int) int { return t }
+	cases := []struct {
+		name  string
+		setup func(c *Comm, t int) (func() error, error)
+	}{
+		{"alltoall-combining-run", runOf(func(c *Comm) (*Plan, error) { return AlltoallInit(c, m, Combining) }, perNeighbor)},
+		{"allgather-combining-run", runOf(func(c *Comm) (*Plan, error) { return AllgatherInit(c, m, Combining) }, func(int) int { return 1 })},
+		{"alltoall-trivial-run", runOf(func(c *Comm) (*Plan, error) { return AlltoallInit(c, m, Trivial) }, perNeighbor)},
+		{"alltoall-combining-barriered-run", runOf(func(c *Comm) (*Plan, error) { return AlltoallInit(c, m, Combining, WithBarrieredPhases()) }, perNeighbor)},
+		{"alltoall-combining-start-wait", func(c *Comm, t int) (func() error, error) {
+			plan, err := AlltoallInit(c, m, Combining)
+			if err != nil {
+				return nil, err
+			}
+			send := make([]int64, t*m)
+			recv := make([]int64, t*m)
+			return func() error {
+				f, err := Start(plan, send, recv)
+				if err != nil {
+					return err
+				}
+				return f.Wait()
+			}, nil
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			allocs := measureSteadyAllocs(t, tc.setup)
+			t.Logf("%.2f allocs per collective, world-wide (%d ranks)", allocs, ranks)
+			if allocs < 1 {
+				t.Fatal("benchmark measured (almost) no allocations; harness broken")
+			}
+			if allocs > ranks+2 {
+				t.Errorf("%.2f allocs per collective on %d ranks; want at most one per rank (+2 background)", allocs, ranks)
 			}
 		})
 	}

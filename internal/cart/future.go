@@ -233,6 +233,7 @@ type asyncScratch struct {
 	st   *pipeState
 	temp any
 	exec any // cached *asyncExec[T] of the last element type
+	ops  any // the execution's round slots, a *roundOps[T] (schedule.go)
 }
 
 // acquireAsyncScratch pops a pooled scratch or allocates one. The pool
@@ -402,7 +403,7 @@ func (e *asyncExec[T]) leafTail() error {
 		if st.scatLeft[i] > 0 {
 			return fmt.Errorf("cart: internal: leaf round %d still scatter-gated after DAG drain", i)
 		}
-		if _, err := st.reqs[i].Wait(); err != nil {
+		if _, err := e.ops.req(i).Wait(); err != nil {
 			return p.phaseError(p.deps[i].phase, p.deps[i].idx, p.flat[i].recvWhat, err)
 		}
 		st.retired[i] = true
@@ -498,6 +499,11 @@ func Start[T any](p *Plan, send, recv []T) (*Future, error) {
 	seq := int(eng.nextSeq.Add(1) - 1)
 
 	scr := p.acquireAsyncScratch()
+	ops, err := roundOpsFor[T](p, &scr.ops)
+	if err != nil {
+		p.releaseAsyncScratch(scr)
+		return nil, err
+	}
 	var temp []T
 	if p.tempLen > 0 {
 		if cached, ok := scr.temp.([]T); ok && len(cached) >= p.tempLen {
@@ -518,7 +524,7 @@ func Start[T any](p *Plan, send, recv []T) (*Future, error) {
 		scr.exec = ex
 	}
 	ex.f, ex.scr, ex.recv = f, scr, recv
-	ex.p, ex.st, ex.comm = p, scr.st, p.comm.comm
+	ex.p, ex.st, ex.ops = p, scr.st, ops
 	ex.bufs[0], ex.bufs[1], ex.bufs[2] = send, recv, temp
 	ex.ws = nil
 	ex.sink = w.sink

@@ -57,7 +57,6 @@ type pipeState struct {
 	// bulk after the live rounds have driven the DAG dry, like the
 	// barriered executor's Waitall tail.
 	leaf  []bool
-	reqs  []*mpi.Request
 	stack []int32 // ready-to-post send work stack
 	// postNs stamps each round's receive-post wall time when a metrics
 	// registry is attached, feeding the cart.retire.ns latency histogram.
@@ -83,7 +82,6 @@ func newPipeState(p *Plan, withWS bool) *pipeState {
 		sendPosted: make([]bool, n),
 		recvPosted: make([]bool, n),
 		leaf:       make([]bool, n),
-		reqs:       make([]*mpi.Request, n),
 		postNs:     make([]int64, n),
 		stack:      make([]int32, 0, n),
 	}
@@ -125,7 +123,6 @@ func (st *pipeState) reset(p *Plan) {
 		st.retired[i] = false
 		st.sendPosted[i] = false
 		st.recvPosted[i] = false
-		st.reqs[i] = nil
 	}
 }
 
@@ -140,8 +137,8 @@ func (st *pipeState) reset(p *Plan) {
 type pipeExec[T any] struct {
 	p         *Plan
 	st        *pipeState
+	ops       *roundOps[T] // the rounds' persistent receives and sends
 	bufs      [][]T
-	comm      *mpi.Comm
 	ws        *mpi.WaitSet        // completion set receives attach to (synchronous runs)
 	sink      *mpi.CompletionSink // engine completion sink (async runs; takes precedence)
 	tagOff    int                 // added to every round tag (0 for synchronous runs)
@@ -168,12 +165,12 @@ type pipeExec[T any] struct {
 // runPipelined executes the plan's rounds in dependency order. bufs is the
 // (send, recv, temp) buffer array; local copies are the caller's job (they
 // run after every round has retired, as in the barriered executor).
-func runPipelined[T any](p *Plan, bufs [][]T) error {
+func runPipelined[T any](p *Plan, ops *roundOps[T], bufs [][]T) error {
 	st := p.pipeScratch()
 	n := len(p.flat)
 	st.ws.Reset()
 	st.reset(p)
-	e := &pipeExec[T]{p: p, st: st, bufs: bufs, comm: p.comm.comm, ws: st.ws, remRecv: st.nRecvs, remLive: st.nLive, remSend: st.nSends}
+	e := &pipeExec[T]{p: p, st: st, ops: ops, bufs: bufs, ws: st.ws, remRecv: st.nRecvs, remLive: st.nLive, remSend: st.nSends}
 
 	// Receives first (window depth), then every barrier-free send.
 	if err := e.fillWindow(); err != nil {
@@ -212,7 +209,7 @@ func runPipelined[T any](p *Plan, bufs [][]T) error {
 		return err
 	}
 	if e.remSend > 0 {
-		return fmt.Errorf("cart: internal: pipelined executor finished live receives with %d send(s) unposted", e.remSend)
+		return e.abortDrain(fmt.Errorf("cart: internal: pipelined executor finished live receives with %d send(s) unposted", e.remSend))
 	}
 	// Bulk tail: every live round has retired, so all scatter gates of the
 	// remaining leaf receives have fired; wait them in flat (phase-major)
@@ -224,7 +221,7 @@ func runPipelined[T any](p *Plan, bufs [][]T) error {
 		if st.scatLeft[i] > 0 {
 			return e.abortDrain(fmt.Errorf("cart: internal: leaf round %d still scatter-gated after DAG drain", i))
 		}
-		if _, err := st.reqs[i].Wait(); err != nil {
+		if _, err := ops.req(i).Wait(); err != nil {
 			return e.abortDrain(p.phaseError(p.deps[i].phase, p.deps[i].idx, p.flat[i].recvWhat, err))
 		}
 		st.retired[i] = true
@@ -262,11 +259,7 @@ func (e *pipeExec[T]) fillWindow() error {
 			continue
 		}
 		st.deferred[i] = st.scatLeft[i] > 0
-		req, err := mpi.IrecvComposite(e.comm, e.bufs, &r.recv, r.recvFrom, r.tag+e.tagOff, st.deferred[i])
-		if err != nil {
-			return e.abortDrain(p.phaseError(p.deps[i].phase, p.deps[i].idx, r.recvWhat, err))
-		}
-		st.reqs[i] = req
+		req := e.ops.recv[i].Start(e.bufs, e.tagOff, st.deferred[i])
 		st.recvPosted[i] = true
 		e.nextPost++
 		e.logRound(p.deps[i].phase, p.deps[i].idx, r.recvFrom, trace.RoundRecvPost)
@@ -306,16 +299,12 @@ func (e *pipeExec[T]) drainSends() error {
 }
 
 // postSend posts round i's send. Sends are buffered (they complete at
-// post), so the immediate Wait cannot block — it only surfaces a failed
-// peer or revoked context as the typed error.
+// post), so the start's error is the send's whole outcome — a failed peer
+// or revoked context as the typed error.
 func (e *pipeExec[T]) postSend(i int32) error {
 	p, st := e.p, e.st
 	r := p.flat[i]
-	req, err := mpi.IsendComposite(e.comm, e.bufs, &r.send, r.sendTo, r.tag+e.tagOff)
-	if err == nil {
-		_, err = req.Wait()
-	}
-	if err != nil {
+	if err := e.ops.send[i].Start(e.bufs, e.tagOff); err != nil {
 		return p.phaseError(p.deps[i].phase, p.deps[i].idx, r.sendWhat, err)
 	}
 	st.sendPosted[i] = true
@@ -346,7 +335,7 @@ func (e *pipeExec[T]) tryRetire(i int32) error {
 		// message has matched, hand the scatter back to the matcher: the
 		// single-copy fast path runs in the sender's goroutine, in parallel
 		// with this executor, instead of serially at Wait.
-		if st.deferred[i] && st.scatLeft[i] == 0 && st.reqs[i].UndeferConsume() {
+		if st.deferred[i] && st.scatLeft[i] == 0 && e.ops.req(int(i)).UndeferConsume() {
 			st.deferred[i] = false
 		}
 		return nil
@@ -354,7 +343,7 @@ func (e *pipeExec[T]) tryRetire(i int32) error {
 	if st.scatLeft[i] > 0 {
 		return nil
 	}
-	if _, err := st.reqs[i].Wait(); err != nil {
+	if _, err := e.ops.req(int(i)).Wait(); err != nil {
 		return p.phaseError(p.deps[i].phase, p.deps[i].idx, p.flat[i].recvWhat, err)
 	}
 	st.retired[i] = true
@@ -395,11 +384,11 @@ func (e *pipeExec[T]) tryRetire(i int32) error {
 // gates are same-or-earlier-phase sends, whose RAW producers are receives
 // of strictly earlier phases (already retired) — so its scatter gates are
 // always clear, the invariant the internal-error guard below asserts.
-func runPipelinedModel[T any](p *Plan, bufs [][]T) error {
+func runPipelinedModel[T any](p *Plan, ops *roundOps[T], bufs [][]T) error {
 	st := p.pipeScratch()
 	n := len(p.flat)
 	st.reset(p)
-	e := &pipeExec[T]{p: p, st: st, bufs: bufs, comm: p.comm.comm, ws: st.ws, remRecv: st.nRecvs, remLive: st.nRecvs, remSend: st.nSends}
+	e := &pipeExec[T]{p: p, st: st, ops: ops, bufs: bufs, ws: st.ws, remRecv: st.nRecvs, remLive: st.nRecvs, remSend: st.nSends}
 
 	// Post every receive upfront (posting is free on the virtual clock and
 	// keeps the match-time-consume path hitting), then every barrier-free
@@ -410,11 +399,7 @@ func runPipelinedModel[T any](p *Plan, bufs [][]T) error {
 			continue
 		}
 		st.deferred[i] = st.scatLeft[i] > 0
-		req, err := mpi.IrecvComposite(e.comm, e.bufs, &r.recv, r.recvFrom, r.tag, st.deferred[i])
-		if err != nil {
-			return e.abortDrain(p.phaseError(p.deps[i].phase, p.deps[i].idx, r.recvWhat, err))
-		}
-		st.reqs[i] = req
+		ops.recv[i].Start(e.bufs, 0, st.deferred[i])
 		st.recvPosted[i] = true
 		e.logRound(p.deps[i].phase, p.deps[i].idx, r.recvFrom, trace.RoundRecvPost)
 		p.countRecvPost()
@@ -501,10 +486,9 @@ func (e *pipeExec[T]) abortDrain(attributed error) error {
 		if !st.recvPosted[i] || st.retired[i] {
 			continue
 		}
-		if st.reqs[i].Cancel() {
-			continue
+		if req := e.ops.req(i); !req.Cancel() {
+			_, _ = req.Wait()
 		}
-		_, _ = st.reqs[i].Wait()
 	}
 	return attributed
 }

@@ -340,17 +340,16 @@ type Plan struct {
 	// its send-source extents, where the match-time single-copy fast path
 	// could race the sender-side gathers. Computed once at compile.
 	deferScatter []bool
-	// pends is the in-flight request scratch of Run, hoisted onto the plan
-	// so repeated executions post a whole phase without allocating.
-	pends []pendReq
-
 	// flat and deps are the block-level dependency DAG over all rounds in
 	// phase-major order (dag.go); pipe is the pipelined executor's
-	// plan-owned scratch (pipeline.go). barriered forces the per-phase
+	// plan-owned scratch (pipeline.go), and ops the persistent send and
+	// receive of every round (a *roundOps[T] of the last element type),
+	// which all of Run's executors restart. barriered forces the per-phase
 	// Waitall executor; window bounds the receive pre-post depth.
 	flat      []*execRound
 	deps      []roundDep
 	pipe      *pipeState
+	ops       any
 	barriered bool
 	window    int
 
@@ -595,28 +594,42 @@ func Run[T any](p *Plan, send, recv []T) error {
 		}
 	}
 	bufs := [][]T{send, recv, temp}
-	comm := p.comm.comm
-
-	if !p.blocking && !p.barriered {
-		run := runPipelined[T]
-		if comm.Model() != nil {
-			run = runPipelinedModel[T]
-		}
-		if err := run(p, bufs); err != nil {
-			return err
-		}
+	ops, err := roundOpsFor[T](p, &p.ops)
+	if err != nil {
+		return err
+	}
+	err = runRounds(p, ops, bufs)
+	if err == nil {
 		for _, cp := range p.copies {
 			datatype.Copy(recv, cp.to, bufs[cp.fromBuf], cp.from)
 		}
 		p.countRun()
-		return nil
+	}
+	// Every round slot is quiescent again, but keeps bufs until its next
+	// start: drop the caller's buffers from it so an idle plan does not pin
+	// them. (Not deferred: a rank unwinding from an injected crash leaves
+	// receives posted, and a late match must still find buffers to scatter
+	// into.)
+	clear(bufs)
+	return err
+}
+
+// runRounds executes every round of the plan over bufs with the executor
+// the plan was compiled for; the local copies are the caller's.
+func runRounds[T any](p *Plan, ops *roundOps[T], bufs [][]T) error {
+	if !p.blocking && !p.barriered {
+		if p.comm.comm.Model() != nil {
+			return runPipelinedModel(p, ops, bufs)
+		}
+		return runPipelined(p, ops, bufs)
 	}
 
+	base := 0 // flat (phase-major) index of the phase's first round
 	for pi, rounds := range p.phases {
 		if p.blocking {
 			for ri := range rounds {
 				r := &rounds[ri]
-				if err := runRoundBlocking(comm, r, bufs, p.deferScatter[pi]); err != nil {
+				if err := runRoundBlocking(ops, base+ri, r, bufs, p.deferScatter[pi]); err != nil {
 					return p.roundError(pi, ri, r, err)
 				}
 				if r.recvFrom != ProcNull {
@@ -627,79 +640,108 @@ func Run[T any](p *Plan, send, recv []T) error {
 					p.countSend(r)
 				}
 			}
+			base += len(rounds)
 			continue
 		}
-		// Post every round of the phase nonblockingly, remembering what each
-		// request is so a failure can be attributed to its round and peer.
-		pends := p.pends[:0]
+		// Start every round of the phase: receives first, then sends. Sends
+		// complete at post; a failed one (dead peer, revoked context) is
+		// attributed after the receives have drained, like any request that
+		// follows them in post order.
 		for ri := range rounds {
 			r := &rounds[ri]
 			if r.recvFrom == ProcNull {
 				continue
 			}
-			req, err := mpi.IrecvComposite(comm, bufs, &r.recv, r.recvFrom, r.tag, p.deferScatter[pi])
-			if err != nil {
-				return p.phaseError(pi, ri, r.recvWhat, err)
-			}
+			ops.recv[base+ri].Start(bufs, 0, p.deferScatter[pi])
 			p.logRound(pi, ri, r.recvFrom, trace.RoundRecvPost)
 			p.countRecvPost()
-			pends = append(pends, pendReq{req, r.recvWhat, ri, true})
 		}
+		var sendErr error
 		for ri := range rounds {
 			r := &rounds[ri]
 			if r.sendTo == ProcNull {
 				continue
 			}
-			req, err := mpi.IsendComposite(comm, bufs, &r.send, r.sendTo, r.tag)
-			if err != nil {
-				return p.phaseError(pi, ri, r.sendWhat, err)
+			if err := ops.send[base+ri].Start(bufs, 0); err != nil && sendErr == nil {
+				sendErr = p.phaseError(pi, ri, r.sendWhat, err)
 			}
 			p.logRound(pi, ri, r.sendTo, trace.RoundSendPost)
 			p.countSend(r)
-			pends = append(pends, pendReq{req, r.sendWhat, ri, false})
 		}
 		// Drain the phase. After the first failure the remaining unmatched
 		// receives are cancelled rather than waited on — their messages may
 		// never come (a dead peer, a revoked context) and the schedule is
 		// abandoned anyway; receives that already hold a message (or poison)
-		// are not cancellable and complete immediately.
+		// are not cancellable and complete immediately. Either way every
+		// slot is quiescent again when the phase returns.
 		var firstErr error
-		for _, q := range pends {
-			if firstErr != nil && q.req.Cancel() {
+		for ri := range rounds {
+			r := &rounds[ri]
+			if r.recvFrom == ProcNull {
 				continue
 			}
-			if _, err := q.req.Wait(); err != nil {
+			req := ops.req(base + ri)
+			if firstErr != nil && req.Cancel() {
+				continue
+			}
+			if _, err := req.Wait(); err != nil {
 				if firstErr == nil {
-					firstErr = p.phaseError(pi, q.round, q.what, err)
+					firstErr = p.phaseError(pi, ri, r.recvWhat, err)
 				}
-			} else if q.recv {
+			} else {
 				p.countRetire()
 			}
 		}
-		// Return the scratch with dropped request pointers so a plan kept
-		// across executions does not pin the previous run's requests.
-		for i := range pends {
-			pends[i].req = nil
+		if firstErr == nil {
+			firstErr = sendErr
 		}
-		p.pends = pends[:0]
 		if firstErr != nil {
 			return firstErr
 		}
+		base += len(rounds)
 	}
-	for _, cp := range p.copies {
-		datatype.Copy(recv, cp.to, bufs[cp.fromBuf], cp.from)
-	}
-	p.countRun()
 	return nil
 }
 
-// pendReq tracks one posted request of a phase with its round and
-// attribution string for failure reporting.
-type pendReq struct {
-	req   *mpi.Request
-	what  string
-	round int
-	recv  bool
+// roundOps is the typed half of a plan's executor scratch: the persistent
+// receive and send of every schedule round, indexed like Plan.flat. A
+// round's two point-to-point operations are bound to (peer, tag, composite)
+// once, when the scratch is built, and restarted with the caller's buffers
+// on every execution, so executing a schedule creates no per-message
+// object (mpi/persistent.go).
+type roundOps[T any] struct {
+	recv []mpi.RecvSlot[T]
+	send []mpi.SendSlot[T]
+}
+
+// req returns the request of round i's receive: the handle of its current
+// (or last) start.
+func (o *roundOps[T]) req(i int) *mpi.Request { return o.recv[i].Request() }
+
+// roundOpsFor returns the round slots cached in *cache, building and
+// binding them on first use — or again if the plan is executed with another
+// element type, as the cached temp buffer is.
+func roundOpsFor[T any](p *Plan, cache *any) (*roundOps[T], error) {
+	if ops, ok := (*cache).(*roundOps[T]); ok {
+		return ops, nil
+	}
+	n := len(p.flat)
+	ops := &roundOps[T]{recv: make([]mpi.RecvSlot[T], n), send: make([]mpi.SendSlot[T], n)}
+	comm := p.comm.comm
+	for i, r := range p.flat {
+		if r.recvFrom != ProcNull {
+			if err := ops.recv[i].Bind(comm, &r.recv, r.recvFrom, r.tag); err != nil {
+				return nil, p.phaseError(p.deps[i].phase, p.deps[i].idx, r.recvWhat, err)
+			}
+		}
+		if r.sendTo != ProcNull {
+			if err := ops.send[i].Bind(comm, &r.send, r.sendTo, r.tag); err != nil {
+				return nil, p.phaseError(p.deps[i].phase, p.deps[i].idx, r.sendWhat, err)
+			}
+		}
+	}
+	*cache = ops
+	return ops, nil
 }
 
 // phaseError attributes a failed schedule operation to its phase, round,
@@ -717,24 +759,29 @@ func (p *Plan) roundError(phase, round int, r *execRound, err error) error {
 		p.op, p.algo, phase+1, len(p.phases), round, r.sendTo, r.recvFrom, err)
 }
 
-// runRoundBlocking performs one round as a blocking exchange, handling
-// ProcNull on either side (mesh boundaries).
-func runRoundBlocking[T any](comm *mpi.Comm, r *execRound, bufs [][]T, deferScatter bool) error {
-	var rreq, sreq *mpi.Request
-	var err error
+// runRoundBlocking performs round i as a blocking exchange, handling
+// ProcNull on either side (mesh boundaries). The slot is quiescent on
+// return either way: after a failed send the receive is withdrawn (or, if
+// already matched, completed) rather than waited — its source may be alive
+// and gone from this schedule.
+func runRoundBlocking[T any](ops *roundOps[T], i int, r *execRound, bufs [][]T, deferScatter bool) error {
+	var rreq *mpi.Request
 	if r.recvFrom != ProcNull {
-		rreq, err = mpi.IrecvComposite(comm, bufs, &r.recv, r.recvFrom, r.tag, deferScatter)
-		if err != nil {
-			return err
-		}
+		rreq = ops.recv[i].Start(bufs, 0, deferScatter)
 	}
 	if r.sendTo != ProcNull {
-		sreq, err = mpi.IsendComposite(comm, bufs, &r.send, r.sendTo, r.tag)
-		if err != nil {
+		if err := ops.send[i].Start(bufs, 0); err != nil {
+			if rreq != nil && !rreq.Cancel() {
+				_, _ = rreq.Wait()
+			}
 			return err
 		}
 	}
-	return mpi.Waitall(sreq, rreq)
+	if rreq != nil {
+		_, err := rreq.Wait()
+		return err
+	}
+	return nil
 }
 
 // elemBytesOf returns the in-memory size of one element of type T.

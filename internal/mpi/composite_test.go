@@ -19,23 +19,22 @@ func TestIsendIrecvComposite(t *testing.T) {
 			var comp datatype.Composite
 			comp.AppendBlock(0, 1, 2) // 11, 12
 			comp.AppendBlock(1, 3, 1) // 23
-			req, err := IsendComposite(c, [][]int{bufA, bufB}, &comp, 1, 5)
-			if err != nil {
+			var ss SendSlot[int]
+			if err := ss.Bind(c, &comp, 1, 5); err != nil {
 				return err
 			}
-			_, err = req.Wait()
-			return err
+			return ss.Start([][]int{bufA, bufB}, 0)
 		}
 		dstA := make([]int, 4)
 		dstB := make([]int, 4)
 		var comp datatype.Composite
 		comp.AppendBlock(1, 0, 1) // first wire element into dstB[0]
 		comp.AppendBlock(0, 2, 2) // rest into dstA[2:4]
-		req, err := IrecvComposite(c, [][]int{dstA, dstB}, &comp, 0, 5, false)
-		if err != nil {
+		var rs RecvSlot[int]
+		if err := rs.Bind(c, &comp, 0, 5); err != nil {
 			return err
 		}
-		if _, err := req.Wait(); err != nil {
+		if _, err := rs.Start([][]int{dstA, dstB}, 0, false).Wait(); err != nil {
 			return err
 		}
 		if dstB[0] != 11 || dstA[2] != 12 || dstA[3] != 23 {
@@ -50,21 +49,20 @@ func TestCompositeSizeMismatch(t *testing.T) {
 		if c.Rank() == 0 {
 			var comp datatype.Composite
 			comp.AppendBlock(0, 0, 3)
-			req, err := IsendComposite(c, [][]int{{1, 2, 3}}, &comp, 1, 0)
-			if err != nil {
+			var ss SendSlot[int]
+			if err := ss.Bind(c, &comp, 1, 0); err != nil {
 				return err
 			}
-			_, err = req.Wait()
-			return err
+			return ss.Start([][]int{{1, 2, 3}}, 0)
 		}
 		var comp datatype.Composite
 		comp.AppendBlock(0, 0, 2) // expects 2, gets 3
 		dst := make([]int, 2)
-		req, err := IrecvComposite(c, [][]int{dst}, &comp, 0, 0, false)
-		if err != nil {
+		var rs RecvSlot[int]
+		if err := rs.Bind(c, &comp, 0, 0); err != nil {
 			return err
 		}
-		if _, err := req.Wait(); err == nil {
+		if _, err := rs.Start([][]int{dst}, 0, false).Wait(); err == nil {
 			return fmt.Errorf("composite size mismatch accepted")
 		}
 		return nil
@@ -224,45 +222,66 @@ func TestWaitanyNilAndEmpty(t *testing.T) {
 	}
 }
 
+// TestPersistentSendRecv restarts one bound send slot and one bound
+// receive slot many times: every start reuses the slot's request, pending
+// receive and envelope, alternating match-time and Wait-time scatter, with
+// the tag offset moving so both the pre-posted and the unexpected path see
+// restarted slots.
 func TestPersistentSendRecv(t *testing.T) {
+	const iters = 200
 	run(t, 2, func(c *Comm) error {
-		buf := make([]int, 3)
+		buf := make([]int, 4)
+		var comp datatype.Composite
+		comp.AppendBlock(0, 0, 2)
+		comp.AppendBlock(0, 3, 1) // gathered: not contiguous
 		if c.Rank() == 0 {
-			ps, err := SendInit(c, buf, contiguousN(3), 1, 4)
-			if err != nil {
+			var ss SendSlot[int]
+			if err := ss.Bind(c, &comp, 1, 4); err != nil {
 				return err
 			}
-			for iter := 0; iter < 5; iter++ {
+			for iter := 0; iter < iters; iter++ {
 				for i := range buf {
 					buf[i] = iter*10 + i
 				}
-				r, err := ps.Start()
-				if err != nil {
-					return err
+				if iter%16 == 0 {
+					time.Sleep(100 * time.Microsecond) // let the receiver pre-post
 				}
-				if _, err := r.Wait(); err != nil {
+				if err := ss.Start([][]int{buf}, iter%3); err != nil {
 					return err
 				}
 			}
 			return nil
 		}
-		pr, err := RecvInit(c, buf, contiguousN(3), 0, 4)
-		if err != nil {
+		var rs RecvSlot[int]
+		if err := rs.Bind(c, &comp, 0, 4); err != nil {
 			return err
 		}
-		for iter := 0; iter < 5; iter++ {
-			reqs, err := StartAll(pr)
+		var first *Request
+		for iter := 0; iter < iters; iter++ {
+			req := rs.Start([][]int{buf}, iter%3, iter%2 == 1)
+			if first == nil {
+				first = req
+			} else if req != first {
+				return fmt.Errorf("iter %d: restart returned a different request", iter)
+			}
+			st, err := req.Wait()
 			if err != nil {
 				return err
 			}
-			if err := Waitall(reqs...); err != nil {
-				return err
+			if st.Source != 0 || st.Tag != 4+iter%3 || st.Count != 3 {
+				return fmt.Errorf("iter %d status %+v", iter, st)
 			}
-			for i := range buf {
-				if buf[i] != iter*10+i {
-					return fmt.Errorf("iter %d buf %v", iter, buf)
-				}
+			if buf[0] != iter*10 || buf[1] != iter*10+1 || buf[3] != iter*10+3 {
+				return fmt.Errorf("iter %d buf %v", iter, buf)
 			}
+		}
+		// A cancelled start leaves the slot restartable too.
+		req := rs.Start([][]int{buf}, 7, false)
+		if !req.Cancel() {
+			return fmt.Errorf("unmatched slot receive not cancellable")
+		}
+		if recvs, _ := c.rs.box.pendingPosted(); recvs != 0 {
+			return fmt.Errorf("%d receive(s) still posted after cancel", recvs)
 		}
 		return nil
 	})
@@ -270,24 +289,24 @@ func TestPersistentSendRecv(t *testing.T) {
 
 func TestPersistentValidation(t *testing.T) {
 	run(t, 1, func(c *Comm) error {
-		buf := make([]int, 1)
-		if _, err := SendInit(c, buf, contiguousN(5), 0, 0); err == nil {
-			return fmt.Errorf("overflowing layout accepted")
-		}
-		if _, err := SendInit(c, buf, contiguousN(1), 5, 0); err == nil {
+		var comp datatype.Composite
+		comp.AppendBlock(0, 0, 1)
+		var ss SendSlot[int]
+		if err := ss.Bind(c, &comp, 5, 0); err == nil {
 			return fmt.Errorf("bad dst accepted")
 		}
-		if _, err := SendInit(c, buf, contiguousN(1), 0, -2); err == nil {
+		if err := ss.Bind(c, &comp, 0, -2); err == nil {
 			return fmt.Errorf("bad tag accepted")
 		}
-		if _, err := RecvInit(c, buf, contiguousN(5), 0, 0); err == nil {
-			return fmt.Errorf("overflowing recv layout accepted")
-		}
-		if _, err := RecvInit(c, buf, contiguousN(1), 7, 0); err == nil {
+		var rs RecvSlot[int]
+		if err := rs.Bind(c, &comp, 7, 0); err == nil {
 			return fmt.Errorf("bad src accepted")
 		}
-		if _, err := RecvInit(c, buf, contiguousN(1), 0, -2); err == nil {
+		if err := rs.Bind(c, &comp, 0, -2); err == nil {
 			return fmt.Errorf("bad recv tag accepted")
+		}
+		if err := rs.Bind(c, &comp, AnySource, AnyTag); err != nil {
+			return fmt.Errorf("wildcard bind rejected: %v", err)
 		}
 		return nil
 	})

@@ -8,23 +8,28 @@ import (
 	"cartcc/internal/netmodel"
 )
 
-// message is one in-flight point-to-point message. The payload is either a
-// gathered wire slice (a typed []T boxed in an any) or, on the zero-copy
-// fast path, a subslice of the sender's user buffer; elems and bytes record
-// its extent for matching diagnostics and cost accounting. A message with
-// fail set is a poison pill: the fault layer hands it to a pending receive
-// that can no longer be satisfied (failed peer, revoked context) and Wait
-// surfaces the error instead of a payload.
+// message is the envelope of one point-to-point message: the match tuple,
+// the payload with its element type erased (wirepool.go) and the accounting
+// the receiver's Wait reads. A message with fail set is a poison pill: the
+// fault layer hands it to a pending receive that can no longer be satisfied
+// (failed peer, revoked context) and Wait surfaces the error instead of a
+// payload.
+//
+// Envelopes are recycled by ownership, never allocated per send: a sender
+// fills its rank's scratch envelope under the send lock, and deliver copies
+// it either into the receive it matched (pendingRecv.env, read by that
+// receive's Wait) or into a node of the mailbox's free list while it waits
+// in the unexpected queue. Only poisons, injected duplicates and parked
+// handoffs are fresh objects, and those are never recycled.
 type message struct {
-	ctx     int64
-	epoch   int64 // recovery epoch the sender's communicator belonged to
-	src     int   // communicator rank of the sender within ctx
-	tag     int
-	payload any
-	elems   int
-	bytes   int
-	arrive  netmodel.Time
-	fail    error
+	ctx   int64
+	epoch int64 // recovery epoch the sender's communicator belonged to
+	src   int   // communicator rank of the sender within ctx
+	tag   int
+	payload
+	bytes  int
+	arrive netmodel.Time
+	fail   error
 	// srcWorld and sseq identify the physical send for duplicate
 	// suppression: srcWorld is the sender's world rank and sseq its
 	// per-sender monotonic send sequence number (0 for messages that
@@ -36,26 +41,29 @@ type message struct {
 	// scatter into the user buffer), recorded at match time and surfaced
 	// by the receiver's Wait.
 	consumeErr error
-	// detach, when set, copies a payload aliasing the sender's user buffer
-	// into a pooled wire (zero-copy sends). The mailbox invokes it before
-	// queueing the message as unexpected, so the alias never outlives the
-	// send call; it is cleared after the copy.
-	detach func(*World, *message)
-	// release, when set, returns a pooled wire payload to the world's pool.
-	// It is invoked exactly once, at the single point the message is
-	// consumed (mailbox.finish), and cleared before the call, so a payload
-	// can never be pooled twice — fault poisons travel as fresh messages
-	// and never carry a release.
-	release func(*World, *message)
-	// taken marks an arrived-list entry already matched through the
-	// (ctx, src, tag) index; the ordered list drops it lazily.
-	taken bool
+	// Unexpected-queue links, used only while the envelope is a mailbox
+	// node: next chains the per-key FIFO (and the free list), prev/succ the
+	// arrival-order list.
+	next       *message
+	prev, succ *message
+}
+
+// consumer scatters a matched payload into the receiver's buffers. It is
+// an interface over the receive's own typed state (a layout or composite
+// target stored beside the pendingRecv), not a closure, so posting a
+// receive allocates nothing for it.
+type consumer interface {
+	consume(p *payload) error
 }
 
 // pendingRecv is a posted-but-unmatched receive. The matched message is
-// handed over through the ready channel (buffered, capacity 1). srcWorld
-// is the exact source's world rank (AnySource for wildcard receives); the
-// fault layer and the deadlock monitor key on it.
+// written into env and handed over through the ready channel (buffered,
+// capacity 1). srcWorld is the exact source's world rank (AnySource for
+// wildcard receives); the fault layer and the deadlock monitor key on it.
+//
+// A pendingRecv is reusable: once its handover has been received (Wait) or
+// a cancel has removed it, no matcher holds a reference — the channel send
+// is a matcher's last access — and its owner may post it again.
 type pendingRecv struct {
 	ctx      int64
 	epoch    int64
@@ -74,9 +82,15 @@ type pendingRecv struct {
 	// executors request this for phases whose receive-target extents
 	// overlap their send-source extents, where a match-time scatter could
 	// race the receiver's own gathers.
-	consume      func(*message) error
+	consume      consumer
 	deferConsume bool
 	ready        chan *message
+	// env receives the envelope of the message matched to this receive;
+	// ready carries its address. Wait reads the status fields from it, so it
+	// is overwritten only by the next match, after the owner reposted.
+	env message
+	// next chains the receive in its exact-key FIFO while it is posted.
+	next *pendingRecv
 	// delivered is set (inside the mailbox lock) the moment a message or
 	// poison is matched to this receive, before the channel handoff. The
 	// deadlock monitor reads it to tell "never matched" apart from "matched
@@ -147,13 +161,28 @@ type mkey struct {
 	src, tag int
 }
 
+func (m *message) key() mkey     { return mkey{m.ctx, m.epoch, m.src, m.tag} }
+func (r *pendingRecv) key() mkey { return mkey{r.ctx, r.epoch, r.src, r.tag} }
+
+// msgQ and recvQ are the per-key FIFOs, intrusive through the elements'
+// next links so queueing allocates nothing. A key whose queue empties is
+// deleted from its map: executions on fresh tag blocks must not grow it.
+type msgQ struct{ head, tail *message }
+type recvQ struct{ head, tail *pendingRecv }
+
+// maxFreeEnvelopes bounds the mailbox's free list of unexpected-queue
+// nodes: enough for any schedule's run-ahead (a few rounds from each
+// neighbor), while a one-off burst of thousands of unexpected messages is
+// returned to the GC instead of staying pinned for the life of the world.
+const maxFreeEnvelopes = 256
+
 // mailbox holds a rank's unexpected-message queue and pending receives.
 //
 // Exact (no-wildcard) receives and unexpected messages are indexed by
 // (ctx, src, tag) in per-key FIFO queues for O(1) matching — the hot path
-// of every schedule executor. The ordered linear structures are kept only
-// for what genuinely needs envelope order: wildcard receives (wild),
-// wildcard probes and diagnostics (arrived). Non-overtaking per (source,
+// of every schedule executor. The ordered structures are kept only for
+// what genuinely needs envelope order: wildcard receives (wild), wildcard
+// probes and diagnostics (the arrival list). Non-overtaking per (source,
 // tag, context) is preserved because each per-key queue is FIFO, each
 // sender delivers from a single goroutine, and a post sequence number
 // arbitrates between an exact receive and an earlier-posted wildcard.
@@ -167,18 +196,23 @@ type mailbox struct {
 
 	seq uint64 // receive post sequence
 
-	// arrived is every unexpected message in arrival order (wildcard scans
-	// and diagnostics); arrivedIdx indexes the same messages per key.
-	// Entries matched through the index are flagged taken and compacted
-	// out of arrived lazily.
-	arrived      []*message
-	arrivedTaken int
-	arrivedIdx   map[mkey][]*message
+	// The unexpected queue: every queued message sits in the arrival-order
+	// list (arrHead..arrTail through prev/succ; wildcard scans and
+	// diagnostics) and in its key's FIFO in arrivedIdx. The nodes are the
+	// mailbox's own: deliver copies the sender's envelope into one taken
+	// from free (chained through next, at most maxFreeEnvelopes), and a
+	// match copies it on into the receive and returns the node — all under
+	// mu, which deliver and post hold anyway.
+	arrHead, arrTail *message
+	nArrived         int
+	arrivedIdx       map[mkey]msgQ
+	free             *message
+	nFree            int
 
 	// wild holds wildcard receives in post order; exact holds per-key FIFO
 	// queues of fully-specified receives.
 	wild  []*pendingRecv
-	exact map[mkey][]*pendingRecv
+	exact map[mkey]recvQ
 
 	// epochFloor is the oldest recovery epoch this rank still accepts.
 	// drainBelowEpoch raises it after a shrink; deliver discards older
@@ -198,43 +232,48 @@ type mailbox struct {
 	lastSeq map[int]uint64
 }
 
-// probeScanned counts arrived-list entries examined by wildcard probes and
+// probeScanned counts arrival-list entries examined by wildcard probes and
 // wildcard matching (a test hook: the Iprobe regression test asserts the
 // exact-match path examines none of a deep unexpected queue).
 var probeScanned atomic.Int64
 
-// finish completes a match outside the mailbox lock: the receiver's
-// consume callback scatters the payload into the user buffer, a pooled
-// wire is released, and the message is handed over. Running consume here —
-// before the handoff, in whichever goroutine completed the match — is what
-// lets a zero-copy send pass a subslice of the user buffer: by the time
-// the posting call returns, the payload has been read exactly once and the
-// alias is dead.
-func (b *mailbox) finish(r *pendingRecv, m *message) {
+// finish completes a match outside the mailbox lock, on the envelope
+// already written into r.env: the receiver's consumer scatters the payload
+// into the user buffer, a pooled wire is released, and the message is
+// handed over. Running the consumer here — before the handoff, in whichever
+// goroutine completed the match — is what lets a zero-copy send pass a
+// subslice of the user buffer: by the time the posting call returns, the
+// payload has been read exactly once and the alias is dead. The handover is
+// the last access to r: the receiver may repost it the moment it has the
+// message.
+func (b *mailbox) finish(r *pendingRecv) {
+	m := &r.env
 	if r.deferConsume && m.fail == nil {
 		// The receiver scatters at Wait time. A zero-copy payload must not
 		// outlive this send call, so detach it into a pooled wire now (in
 		// the sender's goroutine); the wire travels with the message and
 		// is released after the deferred scatter.
-		if d := m.detach; d != nil {
-			m.detach = nil
-			d(b.w, m)
-			if b.met != nil {
-				b.met.recvDetached.Inc()
-			}
-		}
+		b.detach(m)
 		r.handover(m)
 		return
 	}
 	if m.fail == nil && r.consume != nil {
-		m.consumeErr = r.consume(m)
+		m.consumeErr = r.consume.consume(&m.payload)
 	}
-	if rel := m.release; rel != nil {
-		m.release = nil
-		rel(b.w, m)
-	}
-	m.payload = nil
+	m.reclaim(b.w)
 	r.handover(m)
+}
+
+// detach copies a payload still aliasing the sender's buffer into a pooled
+// wire; a no-op for messages that own their payload.
+func (b *mailbox) detach(m *message) {
+	if !m.alias {
+		return
+	}
+	m.wt.detach(b.w, &m.payload)
+	if b.met != nil {
+		b.met.recvDetached.Inc()
+	}
 }
 
 // attachNotify attaches a completion sink to a still-undelivered pending
@@ -288,11 +327,9 @@ func (b *mailbox) undefer(p *pendingRecv) bool {
 // head of m's exact-key queue or the first matching wildcard, whichever
 // was posted first.
 func (b *mailbox) takeRecvLocked(m *message) *pendingRecv {
-	k := mkey{m.ctx, m.epoch, m.src, m.tag}
-	var exact *pendingRecv
-	if q := b.exact[k]; len(q) > 0 {
-		exact = q[0]
-	}
+	k := m.key()
+	q := b.exact[k]
+	exact := q.head
 	var wild *pendingRecv
 	wi := -1
 	for i, r := range b.wild {
@@ -303,11 +340,12 @@ func (b *mailbox) takeRecvLocked(m *message) *pendingRecv {
 	}
 	switch {
 	case exact != nil && (wild == nil || exact.seq < wild.seq):
-		if q := b.exact[k][1:]; len(q) == 0 {
+		if q.head = exact.next; q.head == nil {
 			delete(b.exact, k)
 		} else {
 			b.exact[k] = q
 		}
+		exact.next = nil
 		exact.delivered.Store(true)
 		return exact
 	case wild != nil:
@@ -318,35 +356,24 @@ func (b *mailbox) takeRecvLocked(m *message) *pendingRecv {
 	return nil
 }
 
-// discard drops a message without delivering it — a stale-epoch arrival
-// or a suppressed duplicate. The release hook, if any, is cleared before
-// it runs so the pooled wire goes back exactly once; the detach hook is
-// simply dropped (the payload still aliases the sender's buffer and was
-// never read).
-func (b *mailbox) discard(m *message) {
-	m.detach = nil
-	if rel := m.release; rel != nil {
-		m.release = nil
-		rel(b.w, m)
-	}
-	m.payload = nil
-}
-
 // deliver hands a message to the mailbox: the earliest matching pending
-// receive gets it, otherwise it queues as unexpected. A zero-copy payload
-// that finds no waiting receive is detached — copied into a pooled wire,
-// outside the lock — before queueing, so the sender's buffer is free for
-// reuse the moment the send call returns either way.
+// receive gets it, otherwise it queues as unexpected. Either way the
+// envelope is copied out of *m before deliver returns — into the receive,
+// or into a mailbox-owned node — so the caller may reuse m at once. A
+// zero-copy payload that finds no waiting receive is detached — copied into
+// a pooled wire, outside the lock — before queueing, so the sender's buffer
+// is free for reuse the moment the send call returns either way.
 //
 // Two guards run first: messages below the epoch floor (pre-recovery
 // stragglers racing the drain) and messages whose send sequence number
 // does not advance the per-sender counter (injected duplicates) are
-// discarded, returning any pooled wire exactly once.
+// dropped: reclaim returns a pooled wire exactly once, and a zero-copy
+// alias is simply forgotten (it was never read).
 func (b *mailbox) deliver(m *message) {
 	b.mu.Lock()
 	if m.epoch < b.epochFloor && m.ctx&ftCtxBit == 0 {
 		b.mu.Unlock()
-		b.discard(m)
+		m.reclaim(b.w)
 		if b.met != nil {
 			b.met.staleDrained.Inc()
 		}
@@ -355,7 +382,7 @@ func (b *mailbox) deliver(m *message) {
 	if m.sseq > 0 {
 		if last, ok := b.lastSeq[m.srcWorld]; ok && m.sseq <= last {
 			b.mu.Unlock()
-			b.discard(m)
+			m.reclaim(b.w)
 			if b.met != nil {
 				b.met.dupDropped.Inc()
 			}
@@ -369,100 +396,113 @@ func (b *mailbox) deliver(m *message) {
 	for {
 		if r := b.takeRecvLocked(m); r != nil {
 			b.mu.Unlock()
-			b.finish(r, m)
+			// r left the mailbox marked delivered: nobody else can reach it
+			// until the handover, so env is written outside the lock.
+			r.env = *m
+			b.finish(r)
 			return
 		}
-		if m.detach == nil {
+		if !m.alias {
 			break
 		}
-		d := m.detach
-		m.detach = nil
 		b.mu.Unlock()
-		d(b.w, m)
-		if b.met != nil {
-			b.met.recvDetached.Inc()
-		}
+		b.detach(m)
 		// Re-check under the lock: a receive posted during the copy found
-		// no message in arrived and pended — it must not be missed. Only
+		// no message in the queue and pended — it must not be missed. Only
 		// this sender can append messages with this key, so per-key FIFO
 		// order is unaffected by the unlocked window.
 		b.mu.Lock()
 	}
-	k := mkey{m.ctx, m.epoch, m.src, m.tag}
-	if b.arrivedIdx == nil {
-		b.arrivedIdx = make(map[mkey][]*message)
+	n := b.free
+	if n != nil {
+		b.free, b.nFree = n.next, b.nFree-1
+	} else {
+		n = new(message)
 	}
-	b.arrivedIdx[k] = append(b.arrivedIdx[k], m)
-	b.arrived = append(b.arrived, m)
+	*n = *m
+	n.next, n.succ = nil, nil
+	if n.prev = b.arrTail; n.prev == nil {
+		b.arrHead = n
+	} else {
+		n.prev.succ = n
+	}
+	b.arrTail = n
+	b.nArrived++
+	if b.arrivedIdx == nil {
+		b.arrivedIdx = make(map[mkey]msgQ)
+	}
+	k := n.key()
+	q := b.arrivedIdx[k]
+	if q.tail == nil {
+		q.head = n
+	} else {
+		q.tail.next = n
+	}
+	q.tail = n
+	b.arrivedIdx[k] = q
 	if b.met != nil {
-		b.met.unexpectedHWM.SetMax(int64(len(b.arrived) - b.arrivedTaken))
+		b.met.unexpectedHWM.SetMax(int64(b.nArrived))
 	}
 	b.mu.Unlock()
 }
 
-// takeArrivedLocked removes and returns the unexpected message receive r
-// must match: the FIFO head of r's key queue for exact receives (O(1)),
-// the first matching entry in arrival order for wildcards.
-func (b *mailbox) takeArrivedLocked(r *pendingRecv) *message {
-	if !r.wildcard() {
-		k := mkey{r.ctx, r.epoch, r.src, r.tag}
-		q := b.arrivedIdx[k]
-		if len(q) == 0 {
-			return nil
-		}
-		m := q[0]
-		if q = q[1:]; len(q) == 0 {
-			delete(b.arrivedIdx, k)
-		} else {
-			b.arrivedIdx[k] = q
-		}
-		m.taken = true
-		b.arrivedTaken++
-		b.compactArrivedLocked()
-		return m
+// unlinkArrivedLocked removes queued message n — the head of its key's
+// FIFO — from both unexpected-queue structures. Every removal is of a key
+// head: an exact receive takes its key's head by definition, and a wildcard
+// scan or an epoch drain meets the messages of one key in arrival order,
+// which is their FIFO order.
+func (b *mailbox) unlinkArrivedLocked(n *message) {
+	k := n.key()
+	q := b.arrivedIdx[k]
+	if q.head != n {
+		panic("mpi: internal: unexpected-queue removal of a message that is not its key's head")
 	}
-	for i, m := range b.arrived {
-		probeScanned.Add(1)
-		if m.taken || !r.matches(m) {
-			continue
-		}
-		k := mkey{m.ctx, m.epoch, m.src, m.tag}
-		q := b.arrivedIdx[k]
-		for j := range q {
-			if q[j] == m {
-				q = append(q[:j], q[j+1:]...)
+	if q.head = n.next; q.head == nil {
+		delete(b.arrivedIdx, k)
+	} else {
+		b.arrivedIdx[k] = q
+	}
+	if n.prev == nil {
+		b.arrHead = n.succ
+	} else {
+		n.prev.succ = n.succ
+	}
+	if n.succ == nil {
+		b.arrTail = n.prev
+	} else {
+		n.succ.prev = n.prev
+	}
+	n.next, n.prev, n.succ = nil, nil, nil
+	b.nArrived--
+}
+
+// takeArrivedLocked matches receive r against the unexpected queue: the
+// FIFO head of r's key queue for exact receives (O(1)), the first matching
+// entry in arrival order for wildcards. On a match the envelope moves into
+// r.env and its node returns to the free list, cleared so it pins nothing.
+func (b *mailbox) takeArrivedLocked(r *pendingRecv) bool {
+	var n *message
+	if !r.wildcard() {
+		n = b.arrivedIdx[r.key()].head
+	} else {
+		for n = b.arrHead; n != nil; n = n.succ {
+			probeScanned.Add(1)
+			if r.matches(n) {
 				break
 			}
 		}
-		if len(q) == 0 {
-			delete(b.arrivedIdx, k)
-		} else {
-			b.arrivedIdx[k] = q
-		}
-		b.arrived = append(b.arrived[:i], b.arrived[i+1:]...)
-		return m
 	}
-	return nil
-}
-
-// compactArrivedLocked drops taken entries from the ordered arrived list
-// once they are the majority, keeping wildcard scans and diagnostics
-// amortized O(live entries).
-func (b *mailbox) compactArrivedLocked() {
-	if b.arrivedTaken < 32 || b.arrivedTaken*2 < len(b.arrived) {
-		return
+	if n == nil {
+		return false
 	}
-	kept := b.arrived[:0]
-	for _, m := range b.arrived {
-		if !m.taken {
-			kept = append(kept, m)
-		}
+	b.unlinkArrivedLocked(n)
+	r.env = *n
+	*n = message{}
+	if b.nFree < maxFreeEnvelopes {
+		n.next = b.free
+		b.free, b.nFree = n, b.nFree+1
 	}
-	for i := len(kept); i < len(b.arrived); i++ {
-		b.arrived[i] = nil
-	}
-	b.arrived = kept
-	b.arrivedTaken = 0
+	return true
 }
 
 // post registers a receive: the earliest matching unexpected message
@@ -470,10 +510,10 @@ func (b *mailbox) compactArrivedLocked() {
 // when fully specified, in the ordered wildcard list otherwise.
 func (b *mailbox) post(r *pendingRecv) {
 	b.mu.Lock()
-	if m := b.takeArrivedLocked(r); m != nil {
+	if b.takeArrivedLocked(r) {
 		r.delivered.Store(true)
 		b.mu.Unlock()
-		b.finish(r, m)
+		b.finish(r)
 		return
 	}
 	r.seq = b.seq
@@ -482,10 +522,17 @@ func (b *mailbox) post(r *pendingRecv) {
 		b.wild = append(b.wild, r)
 	} else {
 		if b.exact == nil {
-			b.exact = make(map[mkey][]*pendingRecv)
+			b.exact = make(map[mkey]recvQ)
 		}
-		k := mkey{r.ctx, r.epoch, r.src, r.tag}
-		b.exact[k] = append(b.exact[k], r)
+		k := r.key()
+		q := b.exact[k]
+		if q.tail == nil {
+			q.head = r
+		} else {
+			q.tail.next = r
+		}
+		q.tail = r
+		b.exact[k] = q
 	}
 	b.mu.Unlock()
 }
@@ -498,16 +545,15 @@ func (b *mailbox) probe(ctx, epoch int64, src, tag int) (found bool, msgSrc, msg
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if src != AnySource && tag != AnyTag {
-		if q := b.arrivedIdx[mkey{ctx, epoch, src, tag}]; len(q) > 0 {
-			m := q[0]
+		if m := b.arrivedIdx[mkey{ctx, epoch, src, tag}].head; m != nil {
 			return true, m.src, m.tag, m.elems
 		}
 		return false, 0, 0, 0
 	}
 	r := pendingRecv{ctx: ctx, epoch: epoch, src: src, tag: tag}
-	for _, m := range b.arrived {
+	for m := b.arrHead; m != nil; m = m.succ {
 		probeScanned.Add(1)
-		if !m.taken && r.matches(m) {
+		if r.matches(m) {
 			return true, m.src, m.tag, m.elems
 		}
 	}
@@ -518,8 +564,8 @@ func (b *mailbox) probe(ctx, epoch int64, src, tag int) (found bool, msgSrc, msg
 // non-nil error: the receive is removed and handed a poison message, so
 // its Wait returns the error instead of blocking forever. Used by the
 // fault layer when a rank dies or a context is revoked. Poisons are fresh
-// messages without payload, detach or release — a poisoned receive can
-// never return (or double-return) a pooled buffer.
+// messages without a payload — a poisoned receive can never return (or
+// double-return) a pooled buffer.
 func (b *mailbox) poisonMatching(cond func(*pendingRecv) error) {
 	b.mu.Lock()
 	var hit []*pendingRecv
@@ -545,13 +591,21 @@ func (b *mailbox) poisonMatching(cond func(*pendingRecv) error) {
 	}
 	b.wild = kept
 	for k, q := range b.exact {
-		keep := q[:0]
-		for _, r := range q {
+		var keep recvQ
+		for r := q.head; r != nil; {
+			nx := r.next
+			r.next = nil
 			if !condemn(r) {
-				keep = append(keep, r)
+				if keep.tail == nil {
+					keep.head = r
+				} else {
+					keep.tail.next = r
+				}
+				keep.tail = r
 			}
+			r = nx
 		}
-		if len(keep) == 0 {
+		if keep.head == nil {
 			delete(b.exact, k)
 		} else {
 			b.exact[k] = keep
@@ -566,12 +620,12 @@ func (b *mailbox) poisonMatching(cond func(*pendingRecv) error) {
 // drainBelowEpoch raises the mailbox's epoch floor and discards every
 // unexpected message from an older epoch: pre-failure stragglers that
 // arrived before recovery completed. Each discarded message returns its
-// pooled wire exactly once through the same release hook a normal
-// consume would have used. Pending receives from old epochs are poisoned
-// with ErrCancelled so no request blocks on traffic that can no longer
-// arrive. Fault-tolerance shadow contexts are exempt from both sweeps —
-// consensus retries legitimately reuse the old epoch (see epochFloor).
-// Returns the number of messages drained.
+// pooled wire exactly once, as a normal consume would have. Pending
+// receives from old epochs are poisoned with ErrCancelled so no request
+// blocks on traffic that can no longer arrive. Fault-tolerance shadow
+// contexts are exempt from both sweeps — consensus retries legitimately
+// reuse the old epoch (see epochFloor). Returns the number of messages
+// drained.
 func (b *mailbox) drainBelowEpoch(epoch int64) int {
 	b.mu.Lock()
 	if epoch <= b.epochFloor {
@@ -579,34 +633,24 @@ func (b *mailbox) drainBelowEpoch(epoch int64) int {
 		return 0
 	}
 	b.epochFloor = epoch
-	var stale []*message
-	for _, m := range b.arrived {
-		if m.taken || m.epoch >= epoch || m.ctx&ftCtxBit != 0 {
-			continue
+	// The drained nodes are not recycled (recovery is rare): they chain
+	// through next for the discard pass outside the lock, then go to the GC.
+	var stale *message
+	n := 0
+	for m := b.arrHead; m != nil; {
+		nx := m.succ
+		if m.epoch < epoch && m.ctx&ftCtxBit == 0 {
+			b.unlinkArrivedLocked(m)
+			m.next, stale = stale, m
+			n++
 		}
-		k := mkey{m.ctx, m.epoch, m.src, m.tag}
-		q := b.arrivedIdx[k]
-		for j := range q {
-			if q[j] == m {
-				q = append(q[:j], q[j+1:]...)
-				break
-			}
-		}
-		if len(q) == 0 {
-			delete(b.arrivedIdx, k)
-		} else {
-			b.arrivedIdx[k] = q
-		}
-		m.taken = true
-		b.arrivedTaken++
-		stale = append(stale, m)
+		m = nx
 	}
-	b.compactArrivedLocked()
 	b.mu.Unlock()
-	for _, m := range stale {
-		b.discard(m)
+	for m := stale; m != nil; m = m.next {
+		m.reclaim(b.w)
 	}
-	if n := len(stale); n > 0 && b.met != nil {
+	if n > 0 && b.met != nil {
 		b.met.staleDrained.Add(int64(n))
 	}
 	// Defensive: a receive posted under the old epoch can never match
@@ -617,7 +661,7 @@ func (b *mailbox) drainBelowEpoch(epoch int64) int {
 		}
 		return nil
 	})
-	return len(stale)
+	return n
 }
 
 // cancel removes a still-unmatched pending receive and reports whether it
@@ -654,9 +698,11 @@ func (b *mailbox) pendingPosted() (recvs, unexpected int) {
 	defer b.mu.Unlock()
 	recvs = len(b.wild)
 	for _, q := range b.exact {
-		recvs += len(q)
+		for r := q.head; r != nil; r = r.next {
+			recvs++
+		}
 	}
-	return recvs, len(b.arrived) - b.arrivedTaken
+	return recvs, b.nArrived
 }
 
 // removeLocked unlinks a pending receive from the wildcard list or its
@@ -671,17 +717,28 @@ func (b *mailbox) removeLocked(p *pendingRecv) bool {
 		}
 		return false
 	}
-	k := mkey{p.ctx, p.epoch, p.src, p.tag}
+	k := p.key()
 	q := b.exact[k]
-	for i, r := range q {
-		if r == p {
-			if q = append(q[:i], q[i+1:]...); len(q) == 0 {
-				delete(b.exact, k)
-			} else {
-				b.exact[k] = q
-			}
-			return true
+	var prev *pendingRecv
+	for r := q.head; r != nil; prev, r = r, r.next {
+		if r != p {
+			continue
 		}
+		if prev == nil {
+			q.head = p.next
+		} else {
+			prev.next = p.next
+		}
+		if q.tail == p {
+			q.tail = prev
+		}
+		p.next = nil
+		if q.head == nil {
+			delete(b.exact, k)
+		} else {
+			b.exact[k] = q
+		}
+		return true
 	}
 	return false
 }
@@ -691,11 +748,8 @@ func (b *mailbox) removeLocked(p *pendingRecv) bool {
 func (b *mailbox) snapshotArrived() []string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	out := make([]string, 0, len(b.arrived)-b.arrivedTaken)
-	for _, m := range b.arrived {
-		if m.taken {
-			continue
-		}
+	out := make([]string, 0, b.nArrived)
+	for m := b.arrHead; m != nil; m = m.succ {
 		out = append(out, fmt.Sprintf("[src=%d tag=%d ctx=%d elems=%d]", m.src, m.tag, m.ctx, m.elems))
 	}
 	return out

@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"fmt"
-	"reflect"
 	"time"
 	"unsafe"
 
@@ -17,37 +16,32 @@ func elemBytes[T any]() int {
 	return int(unsafe.Sizeof(z))
 }
 
-// clonePayload deep-copies a message payload (a boxed []T) for duplicate
-// injection. Reflection keeps it generic — this runs only on the injected
-// fault path, never on the hot path.
-func clonePayload(p any) any {
-	v := reflect.ValueOf(p)
-	if v.Kind() != reflect.Slice {
-		return p
-	}
-	out := reflect.MakeSlice(v.Type(), v.Len(), v.Len())
-	reflect.Copy(out, v)
-	return out.Interface()
-}
+// sentRequest is the request of every send that completed at post: sends
+// are buffered, so a successful one is finished before its handle exists,
+// and Wait, Test, Cancel and Free on a finished request only read it. One
+// immutable handle therefore serves them all.
+var sentRequest = &Request{kind: reqSend, finished: true}
 
-// isendRawTag posts a buffered send of an already-packed payload. detach
-// and release are the payload's ownership hooks (see mailbox.message):
-// detach for zero-copy payloads aliasing the user buffer, release for
-// pooled wires; both nil for plainly-allocated wires.
+// send posts a buffered send of an already-packed payload and returns its
+// completion error: sends complete at post, so there is no request to
+// wait on. The envelope is the rank's scratch, filled and routed under the
+// send lock; deliver (or the transport) copies or encodes it before
+// returning, and ownership of a pooled wire moves with that copy.
 //
 // Virtual-time semantics follow a LogGP-style postal model: the sender's
 // clock serializes on the per-message overhead plus the injection time
 // β·bytes (consecutive sends share one NIC), and the message then spends
 // the wire latency α in flight. Self-messages skip the wire but still pay
 // the copy (injection) cost.
-func (c *Comm) isendRawTag(payload any, elems, nbytes, dst int, tag int64, detach, release func(*World, *message)) *Request {
+func (c *Comm) send(pay payload, nbytes, dst int, tag int64) error {
 	rs := c.rs
 	rs.opTick()
 	if met := rs.met; met != nil {
 		met.sendsPosted.Inc()
 		met.sendBytes.Add(int64(nbytes))
 	}
-	c.w.flight.Record(rs.rank, trace.FlightSendPost, c.worldRank(dst), tag, int64(nbytes), 0)
+	dstWorld := c.worldRank(dst)
+	c.w.flight.Record(rs.rank, trace.FlightSendPost, dstWorld, tag, int64(nbytes), 0)
 	// One sender, one delivery order: sequence allocation through delivery
 	// (injected delays included) happens under the per-sender send lock, so
 	// a progress engine posting concurrently with the rank's goroutine
@@ -56,41 +50,42 @@ func (c *Comm) isendRawTag(payload any, elems, nbytes, dst int, tag int64, detac
 	rs.sendMu.Lock()
 	defer rs.sendMu.Unlock()
 	rs.sendSeq++
-	m := &message{
-		ctx: c.ctx, epoch: c.epoch, src: c.rank, tag: int(tag), payload: payload,
-		elems: elems, bytes: nbytes, detach: detach, release: release,
-		srcWorld: rs.rank, sseq: rs.sendSeq,
+	m := &rs.sendEnv
+	*m = message{
+		ctx: c.ctx, epoch: c.epoch, src: c.rank, tag: int(tag), payload: pay,
+		bytes: nbytes, srcWorld: rs.rank, sseq: rs.sendSeq,
 	}
-	dstWorld := c.worldRank(dst)
+	// Whatever happens to the message, the scratch must not pin its payload
+	// until the rank's next send. On the failure paths below the wire was
+	// never delivered and reclaim returns it to the pool; after a delivery
+	// the wire belongs to the receiving copy and only the references drop.
+	defer func() { m.payload = payload{} }()
 	if err := c.opError(dstWorld, "send dst", dst, tag); err != nil {
 		// The peer has failed or the context is revoked: the send completes
-		// with the typed error instead of silently dropping data. A pooled
-		// wire goes back to the pool — it was never delivered.
-		if release != nil {
-			release(c.w, m)
-		}
-		return failedRequest(c, reqSend, err)
+		// with the typed error instead of silently dropping data.
+		m.reclaim(c.w)
+		return err
 	}
 	if rs.dropFor(dstWorld) {
 		// Injected transient fault: the message is lost on the wire. The
 		// send completes normally (buffered semantics — the sender cannot
 		// tell) and the payload's pooled wire goes straight back.
-		c.rs.box.discard(m)
+		m.reclaim(c.w)
 		if met := rs.met; met != nil {
 			met.msgDropped.Inc()
 		}
-		return &Request{kind: reqSend, c: c}
+		return nil
 	}
 	// An injected duplicate must carry its own copy of the payload: the
 	// original may be scattered zero-copy into the receiver's buffer the
 	// moment it is delivered, so the copy is taken now, while the payload
 	// is still intact. The duplicate keeps the original's send sequence
 	// number — that is what makes it a duplicate to the receiver's dedup.
+	// It is a fresh object, never the recycled scratch.
 	var dup *message
 	if rs.dupFor(dstWorld) {
 		d := *m
-		d.payload = clonePayload(m.payload)
-		d.detach, d.release = nil, nil
+		d.wt.clone(&d.payload)
 		dup = &d
 		if met := rs.met; met != nil {
 			met.msgDuplicated.Inc()
@@ -121,37 +116,58 @@ func (c *Comm) isendRawTag(payload any, elems, nbytes, dst int, tag int64, detac
 	if err := c.w.route(dstWorld, m); err != nil {
 		// The transport could not carry the message (peer process gone,
 		// payload not wire-encodable): complete the send with the typed
-		// error — buffers were reclaimed by Send before it failed, or are
-		// still owned by the message; discard covers both.
-		c.rs.box.discard(m)
-		return failedRequest(c, reqSend, err)
+		// error — the wire was reclaimed by Send before it failed, or is
+		// still held by the message; reclaim covers both.
+		m.reclaim(c.w)
+		return err
 	}
 	if dup != nil {
 		_ = c.w.route(dstWorld, dup) // best effort, like the fault it mimics
 	}
-	return &Request{kind: reqSend, c: c}
+	return nil
 }
 
-// irecvRaw posts a receive and returns its request; consume is invoked
-// with the matched message, at match time, to scatter the payload into the
-// receiver's buffer (see mailbox.finish).
-func (c *Comm) irecvRaw(src, tag int, consume func(*message) error) (*Request, error) {
+// checkSend validates the peer and tag of a send.
+func (c *Comm) checkSend(dst, tag int) error {
+	if err := c.checkRank(dst, "destination"); err != nil {
+		return err
+	}
+	if tag < 0 {
+		return fmt.Errorf("mpi: negative tag %d", tag)
+	}
+	return nil
+}
+
+// checkRecv validates the peer and tag of a receive (wildcards allowed).
+func (c *Comm) checkRecv(src, tag int) error {
 	if src != AnySource {
 		if err := c.checkRank(src, "source"); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if tag < 0 && tag != AnyTag {
-		return nil, fmt.Errorf("mpi: negative tag %d", tag)
+		return fmt.Errorf("mpi: negative tag %d", tag)
 	}
-	return c.irecvRawTag(src, int64(tag), consume), nil
+	return nil
 }
 
-func (c *Comm) irecvRawTag(src int, tag int64, consume func(*message) error) *Request {
-	return c.irecvDefer(src, tag, consume, false)
+// recvOp is the whole state of one receive operation in a single object:
+// the request its owner waits on and the pending receive the mailbox
+// matches (which in turn holds the ready channel and the envelope the
+// matched message is written into). Embedded in the typed receive targets —
+// layoutRecv here, RecvSlot in persistent.go — so posting a receive
+// allocates at most that one object, and reposting it allocates nothing.
+type recvOp struct {
+	req  Request
+	pend pendingRecv
 }
 
-func (c *Comm) irecvDefer(src int, tag int64, consume func(*message) error, deferConsume bool) *Request {
+// post (re)arms the operation as a receive of (src, tag) on c and posts it.
+// The owner must have finished the previous use — its Wait returned, or a
+// Cancel removed it — so that no matcher still refers to the pending
+// receive (see pendingRecv). consume is invoked with the matched payload,
+// at match time or — with deferConsume — at Wait (see mailbox.finish).
+func (o *recvOp) post(c *Comm, src int, tag int64, consume consumer, deferConsume bool) *Request {
 	c.rs.opTick()
 	if met := c.rs.met; met != nil {
 		met.recvsPosted.Inc()
@@ -160,12 +176,19 @@ func (c *Comm) irecvDefer(src int, tag int64, consume func(*message) error, defe
 	if src != AnySource {
 		srcWorld = c.worldRank(src)
 	}
-	p := &pendingRecv{ctx: c.ctx, epoch: c.epoch, src: src, tag: int(tag), srcWorld: srcWorld, consume: consume, deferConsume: deferConsume, ready: make(chan *message, 1)}
+	p := &o.pend
+	if p.ready == nil {
+		p.ready = make(chan *message, 1)
+	}
+	p.ctx, p.epoch, p.src, p.tag, p.srcWorld = c.ctx, c.epoch, src, int(tag), srcWorld
+	p.consume, p.deferConsume = consume, deferConsume
+	p.notify, p.notifyIdx, p.notifyGate = nil, 0, nil
+	p.delivered.Store(false)
 	if fl := c.w.flight; fl != nil {
 		p.postNs = fl.Now()
 		fl.Record(c.rs.rank, trace.FlightRecvPost, srcWorld, tag, 0, 0)
 	}
-	req := &Request{kind: reqRecv, c: c, pending: p}
+	o.req = Request{kind: reqRecv, c: c, pending: p}
 	// Post first, check faults after: a receive whose message has already
 	// arrived completes even if the sender has since failed (ULFM raises
 	// an error only for operations the failure makes impossible). The
@@ -185,148 +208,133 @@ func (c *Comm) irecvDefer(src int, tag int64, consume func(*message) error, defe
 			p.handover(&message{ctx: p.ctx, epoch: p.epoch, src: p.src, tag: p.tag, fail: err})
 		}
 	}
-	return req
+	return &o.req
 }
 
-// scatterInto builds the receive-completion callback that type-checks the
-// payload and scatters it through the layout into buf. The message must
-// carry exactly l.Size() elements of type T (the runtime is deliberately
-// strict: a size or type mismatch is a schedule bug, not data to truncate).
-func scatterInto[T any](buf []T, l datatype.Layout) func(*message) error {
-	return func(m *message) error {
-		wire, ok := m.payload.([]T)
-		if !ok {
-			return fmt.Errorf("mpi: type mismatch: received %T, receiver expects []%T", m.payload, *new(T))
-		}
-		if len(wire) != l.Size() {
-			return fmt.Errorf("mpi: size mismatch: received %d elements, receive layout describes %d", len(wire), l.Size())
-		}
-		datatype.Scatter(buf, wire, l)
-		return nil
-	}
+// layoutRecv is a receive into the elements of one buffer selected by a
+// layout — the target of Irecv and the blocking forms. The buffer is held
+// type-erased, so one struct (and one per-rank free list of them) serves
+// every element type. The message must carry exactly l.Size() elements of
+// the buffer's type.
+type layoutRecv struct {
+	recvOp
+	buf bufRef
+	l   datatype.Layout
 }
 
-// scatterComposite is scatterInto for multi-buffer composites.
-func scatterComposite[T any](bufs [][]T, comp *datatype.Composite) func(*message) error {
-	return func(m *message) error {
-		wire, ok := m.payload.([]T)
-		if !ok {
-			return fmt.Errorf("mpi: type mismatch: received %T, receiver expects []%T", m.payload, *new(T))
-		}
-		if len(wire) != comp.Size() {
-			return fmt.Errorf("mpi: size mismatch: received %d elements, receive composite describes %d", len(wire), comp.Size())
-		}
-		datatype.ScatterComposite(bufs, wire, comp)
-		return nil
+func (o *layoutRecv) consume(p *payload) error { return o.buf.wt.scatter(o.buf, o.l, p) }
+
+// getRecv takes a receive operation off the rank's free list
+// (postPooledRecv); putRecv returns it.
+func (rs *rankState) getRecv() *layoutRecv {
+	rs.recvMu.Lock()
+	defer rs.recvMu.Unlock()
+	if n := len(rs.recvFree); n > 0 {
+		o := rs.recvFree[n-1]
+		rs.recvFree = rs.recvFree[:n-1]
+		return o
 	}
+	return new(layoutRecv)
+}
+
+func (rs *rankState) putRecv(o *layoutRecv) {
+	o.buf, o.l = bufRef{}, datatype.Layout{} // do not pin the caller's buffer
+	rs.recvMu.Lock()
+	rs.recvFree = append(rs.recvFree, o)
+	rs.recvMu.Unlock()
+}
+
+// layoutPayload packs the elements of buf selected by l for sending. A
+// contiguous layout takes the zero-copy fast path: the payload is a
+// subslice of buf, read exactly once inside the posting call — scattered
+// straight into a waiting receiver's buffer (one copy end to end), or
+// detached into a pooled wire if no receive is posted yet. Non-contiguous
+// layouts gather into a wire drawn from the world's size-bucketed pool,
+// returned after the unpack.
+func layoutPayload[T any](c *Comm, buf []T, l datatype.Layout) payload {
+	if off, n, ok := l.Contiguous(); ok {
+		c.rs.met.countSendPath(true, false)
+		return aliasOf(buf[off : off+n : off+n])
+	}
+	h, pooled := getWire[T](c.w, l.Size())
+	datatype.Gather((*h)[:l.Size()], buf, l)
+	c.rs.met.countSendPath(false, pooled)
+	return wireOf(h, l.Size())
+}
+
+// checkLayoutSend validates the arguments of a layout send.
+func checkLayoutSend(c *Comm, buflen int, l datatype.Layout, dst, tag int) error {
+	if err := l.Validate(buflen); err != nil {
+		return err
+	}
+	return c.checkSend(dst, tag)
 }
 
 // Isend starts a nonblocking send of the elements of buf selected by l to
 // dst with the given tag. The data leaves buf before Isend returns, so buf
-// may be reused immediately — buffered-send semantics. A contiguous layout
-// takes the zero-copy fast path: the payload is a subslice of buf, read
-// exactly once inside the posting call — scattered straight into a waiting
-// receiver's buffer (one copy end to end), or detached into a pooled wire
-// if no receive is posted yet. Non-contiguous layouts gather into a wire
-// drawn from the world's size-bucketed pool, returned after the unpack.
+// may be reused immediately — buffered-send semantics (see layoutPayload
+// for the zero-copy and pooled-wire paths).
 func Isend[T any](c *Comm, buf []T, l datatype.Layout, dst, tag int) (*Request, error) {
-	if err := l.Validate(len(buf)); err != nil {
+	if err := checkLayoutSend(c, len(buf), l, dst, tag); err != nil {
 		return nil, err
 	}
-	if err := c.checkRank(dst, "destination"); err != nil {
-		return nil, err
+	if err := c.send(layoutPayload(c, buf, l), l.Size()*elemBytes[T](), dst, int64(tag)); err != nil {
+		return failedRequest(c, reqSend, err), nil
 	}
-	if tag < 0 {
-		return nil, fmt.Errorf("mpi: negative tag %d", tag)
-	}
-	var payload any
-	var detach, release func(*World, *message)
-	if off, n, ok := l.Contiguous(); ok {
-		payload, detach = buf[off:off+n:off+n], detachWire[T]
-		c.rs.met.countSendPath(true, false)
-	} else {
-		wire, pooled := getWire[T](c.w, l.Size())
-		datatype.Gather(wire, buf, l)
-		payload, release = wire, releaseWire[T]
-		c.rs.met.countSendPath(false, pooled)
-	}
-	return c.isendRawTag(payload, l.Size(), l.Size()*elemBytes[T](), dst, int64(tag), detach, release), nil
+	return sentRequest, nil
 }
 
-// IsendComposite starts a nonblocking send of the elements selected by comp
-// across the buffers bufs (indexed by the composite's buffer selectors).
-// This is the sender side of one schedule round (Listing 5 of the paper).
-// Like Isend, a composite that collapses to one contiguous extent goes out
-// zero-copy; anything else is gathered into a pooled wire.
-func IsendComposite[T any](c *Comm, bufs [][]T, comp *datatype.Composite, dst, tag int) (*Request, error) {
-	if err := c.checkRank(dst, "destination"); err != nil {
-		return nil, err
+// checkLayoutRecv validates the arguments of a layout receive.
+func checkLayoutRecv(c *Comm, buflen int, l datatype.Layout, src, tag int) error {
+	if err := l.Validate(buflen); err != nil {
+		return err
 	}
-	if tag < 0 {
-		return nil, fmt.Errorf("mpi: negative tag %d", tag)
-	}
-	var payload any
-	var detach, release func(*World, *message)
-	if bi, off, n, ok := comp.Contiguous(); ok && bi < len(bufs) {
-		b := bufs[bi]
-		payload, detach = b[off:off+n:off+n], detachWire[T]
-		c.rs.met.countSendPath(true, false)
-	} else {
-		wire, pooled := getWire[T](c.w, comp.Size())
-		datatype.GatherComposite(wire, bufs, comp)
-		payload, release = wire, releaseWire[T]
-		c.rs.met.countSendPath(false, pooled)
-	}
-	return c.isendRawTag(payload, comp.Size(), comp.Size()*elemBytes[T](), dst, int64(tag), detach, release), nil
+	return c.checkRecv(src, tag)
 }
 
 // Irecv starts a nonblocking receive into the elements of buf selected by
-// l. src may be AnySource and tag AnyTag.
+// l. src may be AnySource and tag AnyTag. The returned request is the
+// caller's to keep: it may be waited twice and read long after completion,
+// so its receive operation is a fresh object, never a recycled one.
 func Irecv[T any](c *Comm, buf []T, l datatype.Layout, src, tag int) (*Request, error) {
-	if err := l.Validate(len(buf)); err != nil {
+	if err := checkLayoutRecv(c, len(buf), l, src, tag); err != nil {
 		return nil, err
 	}
-	return c.irecvRaw(src, tag, scatterInto(buf, l))
+	o := &layoutRecv{buf: refOf(buf), l: l}
+	return o.post(c, src, int64(tag), o, false), nil
 }
 
-// IrecvComposite starts a nonblocking receive scattered through comp across
-// the buffers bufs — the receiver side of one schedule round. deferScatter
-// selects when the payload lands in the buffers: false scatters at match
-// time (single-copy fast path — safe only while nothing else touches the
-// target extents between post and Wait, the receiver's own send-side
-// gathers included); true defers the scatter to Wait, in the receiver's
-// goroutine, which tolerates receive targets overlapping same-phase send
-// sources at the price of messages staging through a pooled wire. Schedule
-// executors choose per phase from compile-time overlap analysis.
-func IrecvComposite[T any](c *Comm, bufs [][]T, comp *datatype.Composite, src, tag int, deferScatter bool) (*Request, error) {
-	if src != AnySource {
-		if err := c.checkRank(src, "source"); err != nil {
-			return nil, err
-		}
+// postPooledRecv is Irecv for the blocking forms, whose request never
+// reaches the caller: the receive runs on an operation from the rank's free
+// list, which the caller returns with putRecv once the request's Wait or
+// Free has made it quiescent.
+func postPooledRecv[T any](c *Comm, buf []T, l datatype.Layout, src, tag int) (*layoutRecv, *Request, error) {
+	if err := checkLayoutRecv(c, len(buf), l, src, tag); err != nil {
+		return nil, nil, err
 	}
-	if tag < 0 && tag != AnyTag {
-		return nil, fmt.Errorf("mpi: negative tag %d", tag)
-	}
-	return c.irecvDefer(src, int64(tag), scatterComposite(bufs, comp), deferScatter), nil
+	o := c.rs.getRecv()
+	o.buf, o.l = refOf(buf), l
+	return o, o.post(c, src, int64(tag), o, false), nil
 }
 
-// Send is the blocking form of Isend.
+// Send is the blocking form of Isend. Sends complete at post, so it
+// allocates no request at all.
 func Send[T any](c *Comm, buf []T, l datatype.Layout, dst, tag int) error {
-	req, err := Isend(c, buf, l, dst, tag)
-	if err != nil {
+	if err := checkLayoutSend(c, len(buf), l, dst, tag); err != nil {
 		return err
 	}
-	_, err = req.Wait()
-	return err
+	return c.send(layoutPayload(c, buf, l), l.Size()*elemBytes[T](), dst, int64(tag))
 }
 
 // Recv is the blocking form of Irecv.
 func Recv[T any](c *Comm, buf []T, l datatype.Layout, src, tag int) (Status, error) {
-	req, err := Irecv(c, buf, l, src, tag)
+	o, req, err := postPooledRecv(c, buf, l, src, tag)
 	if err != nil {
 		return Status{}, err
 	}
-	return req.Wait()
+	st, err := req.Wait()
+	c.rs.putRecv(o)
+	return st, err
 }
 
 // SendSlice sends all of buf contiguously.
@@ -341,21 +349,24 @@ func RecvSlice[T any](c *Comm, buf []T, src, tag int) (Status, error) {
 
 // Sendrecv performs a combined send and receive, the deadlock-free exchange
 // primitive of the trivial Cartesian algorithms (Listing 4 of the paper).
-// The receive is posted before the send; both complete before return.
+// The receive is posted before the send; both complete before return. When
+// the send is rejected or fails, the posted receive is withdrawn before
+// returning: left in the mailbox it would match a later message with the
+// same (source, tag) and scatter it into a buffer the caller has abandoned.
 func Sendrecv[T any](c *Comm, sendBuf []T, sl datatype.Layout, dst, sendTag int,
 	recvBuf []T, rl datatype.Layout, src, recvTag int) (Status, error) {
-	rreq, err := Irecv(c, recvBuf, rl, src, recvTag)
+	o, rreq, err := postPooledRecv(c, recvBuf, rl, src, recvTag)
 	if err != nil {
 		return Status{}, err
 	}
-	sreq, err := Isend(c, sendBuf, sl, dst, sendTag)
-	if err != nil {
+	if err := Send(c, sendBuf, sl, dst, sendTag); err != nil {
+		rreq.Free()
+		c.rs.putRecv(o)
 		return Status{}, err
 	}
-	if _, err := sreq.Wait(); err != nil {
-		return Status{}, err
-	}
-	return rreq.Wait()
+	st, err := rreq.Wait()
+	c.rs.putRecv(o)
+	return st, err
 }
 
 // Iprobe checks nonblockingly for a matching incoming message and returns

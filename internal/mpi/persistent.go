@@ -1,87 +1,122 @@
 package mpi
 
 import (
-	"fmt"
-
 	"cartcc/internal/datatype"
 )
 
-// Persistent point-to-point requests, mirroring MPI_Send_init /
-// MPI_Recv_init: the communication parameters (buffer, layout, peer, tag)
-// are bound once and the operation is then started any number of times —
-// the point-to-point counterpart of the paper's persistent collective
-// initialization (Cart_*_init).
+// Persistent point-to-point operations, mirroring MPI_Send_init /
+// MPI_Recv_init: the communication parameters (peer, tag, datatype) are
+// bound once and the operation is then started any number of times — the
+// point-to-point counterpart of the paper's persistent collective
+// initialization (Cart_*_init), and what a schedule round is made of: a
+// plan's executor scratch holds one RecvSlot and one SendSlot per round,
+// bound when the scratch is built and restarted with the caller's buffers
+// on every execution. Starting a slot allocates nothing: the receive's
+// request, pending receive, ready channel and matched envelope live in the
+// slot (recvOp), and a send has no per-message state beyond the rank's
+// scratch envelope.
+//
+// The datatype is a composite over several buffers (the executor's send,
+// recv and temp), so the buffers themselves are a Start argument: a plan is
+// bound to a geometry, not to the memory of one call.
 
-// PersistentSend is a reusable send operation.
-type PersistentSend struct {
-	// start is the element-type-bound starter installed by SendInit.
-	start func() (*Request, error)
+// RecvSlot is a persistent receive scattered through a composite. A slot
+// must not be copied after Bind (the mailbox and the request refer to it by
+// address) and must not be restarted while its previous start is in
+// flight.
+type RecvSlot[T any] struct {
+	recvOp
+	c    *Comm
+	src  int
+	tag  int
+	comp *datatype.Composite
+	bufs [][]T
 }
 
-// Start begins one send with the bound parameters; the returned request
-// completes as usual (buffered semantics: immediately).
-func (p *PersistentSend) Start() (*Request, error) { return p.start() }
-
-// SendInit binds a send operation for repeated starting. The buffer
-// contents are read at each Start.
-func SendInit[T any](c *Comm, buf []T, l datatype.Layout, dst, tag int) (*PersistentSend, error) {
-	if err := l.Validate(len(buf)); err != nil {
-		return nil, err
+// Bind fixes the slot's communicator, source, base tag and receive
+// composite. src may be AnySource and tag AnyTag.
+func (s *RecvSlot[T]) Bind(c *Comm, comp *datatype.Composite, src, tag int) error {
+	if err := c.checkRecv(src, tag); err != nil {
+		return err
 	}
-	if err := c.checkRank(dst, "destination"); err != nil {
-		return nil, err
-	}
-	if tag < 0 {
-		return nil, fmt.Errorf("mpi: negative tag %d", tag)
-	}
-	return &PersistentSend{start: func() (*Request, error) {
-		return Isend(c, buf, l, dst, tag)
-	}}, nil
+	s.c, s.src, s.tag, s.comp = c, src, tag, comp
+	return nil
 }
 
-// PersistentRecv is a reusable receive operation.
-type PersistentRecv struct {
-	start func() (*Request, error)
+// Start posts the receive into bufs (indexed by the composite's buffer
+// selectors) under tag base+tagOff and returns the slot's request, valid
+// until the next Start. The previous start must have finished: its Wait
+// returned, or Cancel reported true. deferScatter selects when the payload
+// lands in the buffers: false scatters at match time (single-copy fast path
+// — safe only while nothing else touches the target extents between Start
+// and Wait, the receiver's own send-side gathers included); true defers the
+// scatter to Wait, in the receiver's goroutine, which tolerates receive
+// targets overlapping same-phase send sources at the price of messages
+// staging through a pooled wire. Schedule executors choose per round from
+// compile-time overlap analysis.
+func (s *RecvSlot[T]) Start(bufs [][]T, tagOff int, deferScatter bool) *Request {
+	if s.req.pending != nil && !s.req.finished {
+		panic("mpi: RecvSlot restarted while its previous start is in flight")
+	}
+	s.bufs = bufs
+	return s.post(s.c, s.src, int64(s.tag+tagOff), s, deferScatter)
 }
 
-// Start posts one receive with the bound parameters.
-func (p *PersistentRecv) Start() (*Request, error) { return p.start() }
+// Request returns the slot's request: the handle of its current (or last)
+// start.
+func (s *RecvSlot[T]) Request() *Request { return &s.req }
 
-// RecvInit binds a receive operation for repeated starting; each Start
-// posts a fresh receive into the bound buffer.
-func RecvInit[T any](c *Comm, buf []T, l datatype.Layout, src, tag int) (*PersistentRecv, error) {
-	if err := l.Validate(len(buf)); err != nil {
-		return nil, err
+func (s *RecvSlot[T]) consume(p *payload) error {
+	wire, err := payloadOf[T](p, s.comp.Size(), "composite")
+	if err != nil {
+		return err
 	}
-	if src != AnySource {
-		if err := c.checkRank(src, "source"); err != nil {
-			return nil, err
-		}
-	}
-	if tag < 0 && tag != AnyTag {
-		return nil, fmt.Errorf("mpi: negative tag %d", tag)
-	}
-	return &PersistentRecv{start: func() (*Request, error) {
-		return Irecv(c, buf, l, src, tag)
-	}}, nil
+	datatype.ScatterComposite(s.bufs, wire, s.comp)
+	return nil
 }
 
-// StartAll starts every persistent operation and returns the requests, in
-// order (sends and receives may be mixed via the Starter interface).
-func StartAll(ops ...Starter) ([]*Request, error) {
-	reqs := make([]*Request, 0, len(ops))
-	for _, op := range ops {
-		r, err := op.Start()
-		if err != nil {
-			return reqs, err
-		}
-		reqs = append(reqs, r)
-	}
-	return reqs, nil
+// SendSlot is a persistent send gathered through a composite — the sender
+// side of one schedule round (Listing 5 of the paper).
+type SendSlot[T any] struct {
+	c    *Comm
+	dst  int
+	tag  int
+	comp *datatype.Composite
+	// A composite that collapses to one contiguous extent goes out
+	// zero-copy, as a subslice of bufs[buf]; decided once, at Bind.
+	contig      bool
+	buf, off, n int
 }
 
-// Starter is anything that can start a bound operation (PersistentSend,
-// PersistentRecv).
-type Starter interface {
-	Start() (*Request, error)
+// Bind fixes the slot's communicator, destination, base tag and send
+// composite.
+func (s *SendSlot[T]) Bind(c *Comm, comp *datatype.Composite, dst, tag int) error {
+	if err := c.checkSend(dst, tag); err != nil {
+		return err
+	}
+	s.c, s.dst, s.tag, s.comp = c, dst, tag, comp
+	s.buf, s.off, s.n, s.contig = comp.Contiguous()
+	return nil
+}
+
+// Start sends the elements the composite selects from bufs under tag
+// base+tagOff. The data leaves bufs before Start returns (buffered-send
+// semantics), so the send is complete when it does; the error is the typed
+// failure of a dead peer, a revoked context or a broken transport. Like
+// Isend, a contiguous composite goes out zero-copy and anything else is
+// gathered into a pooled wire.
+func (s *SendSlot[T]) Start(bufs [][]T, tagOff int) error {
+	c := s.c
+	var pay payload
+	if s.contig && s.buf < len(bufs) {
+		pay = aliasOf(bufs[s.buf][s.off : s.off+s.n : s.off+s.n])
+		c.rs.met.countSendPath(true, false)
+	} else {
+		n := s.comp.Size()
+		h, pooled := getWire[T](c.w, n)
+		datatype.GatherComposite((*h)[:n], bufs, s.comp)
+		pay = wireOf(h, n)
+		c.rs.met.countSendPath(false, pooled)
+	}
+	return c.send(pay, s.comp.Size()*elemBytes[T](), s.dst, int64(s.tag+tagOff))
 }

@@ -10,15 +10,15 @@ import (
 	"cartcc/internal/metrics"
 )
 
-// countingMsg builds a hand-delivered message whose release hook counts its
-// invocations — the probe for the pooled-wire ownership protocol on the
-// recovery paths: however a message leaves the mailbox (consumed, drained,
-// discarded as stale or duplicate), the wire must go back exactly once.
+// countingMsg builds a hand-delivered message that owns a wire whose
+// release counts its invocations (countingWire, zerocopy_test.go) — the
+// probe for the pooled-wire ownership protocol on the recovery paths:
+// however a message leaves the mailbox (consumed, drained, discarded as
+// stale or duplicate), the wire must go back exactly once.
 func countingMsg(ctx, epoch int64, src, tag int, released *int) *message {
 	return &message{
-		ctx: ctx, epoch: epoch, src: src, tag: tag,
-		payload: []int{1}, elems: 1, bytes: 8,
-		release: func(*World, *message) { *released++ },
+		ctx: ctx, epoch: epoch, src: src, tag: tag, bytes: 8,
+		payload: countingWire{released: released}.wire([]int{1}),
 	}
 }
 
@@ -150,8 +150,8 @@ func TestDrainPoisonsStaleReceives(t *testing.T) {
 		if m.fail == nil || !errors.Is(m.fail, ErrCancelled) {
 			t.Fatalf("stale receive failed with %v, want ErrCancelled", m.fail)
 		}
-		if m.payload != nil || m.release != nil {
-			t.Fatal("poison message carries a payload or release hook")
+		if m.data != nil || m.hold != nil {
+			t.Fatal("poison message carries a payload or a wire")
 		}
 	default:
 		t.Fatal("stale-epoch receive was not poisoned by the drain")

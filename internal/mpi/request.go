@@ -26,10 +26,18 @@ const (
 )
 
 // Request is a handle for a nonblocking operation. Send requests complete
-// at posting time (the runtime buffers eagerly); receive requests complete
-// when a matching message has arrived — the scatter into the user buffer
-// runs at match time (mailbox.finish) and Wait surfaces its result;
-// aggregate requests complete when all children have.
+// at posting time (the runtime buffers eagerly), so every successful send
+// shares one finished handle (sentRequest); receive requests complete when
+// a matching message has arrived — the scatter into the user buffer runs at
+// match time (mailbox.finish) and Wait surfaces its result; aggregate
+// requests complete when all children have.
+//
+// A receive request is a field of its receive operation (recvOp), next to
+// the pending receive it points at. The ones Irecv and the Ineighbor_*
+// collectives return belong to the caller and are never reused: they may be
+// waited twice and read long after completion. The ones that stay inside
+// the runtime — a schedule round's RecvSlot, the blocking forms — are
+// re-armed for the next operation once finished.
 type Request struct {
 	kind     reqKind
 	c        *Comm
@@ -52,8 +60,6 @@ func (r *Request) Wait() (Status, error) {
 		return r.status, r.err
 	}
 	switch r.kind {
-	case reqSend:
-		// Sends are buffered: complete at post time.
 	case reqRecv:
 		m, err := r.awaitMessage()
 		if err != nil {
@@ -87,13 +93,9 @@ func (r *Request) Wait() (Status, error) {
 			// then return the pooled wire; finish already detached any
 			// zero-copy payload.
 			if r.pending.consume != nil {
-				r.err = r.pending.consume(m)
+				r.err = r.pending.consume.consume(&m.payload)
 			}
-			if rel := m.release; rel != nil {
-				m.release = nil
-				rel(r.c.w, m)
-			}
-			m.payload = nil
+			m.reclaim(r.c.w)
 		} else {
 			r.err = m.consumeErr
 		}
@@ -161,8 +163,8 @@ func (r *Request) awaitMessage() (*message, error) {
 		})
 		defer w.clearBlocked(rs.rank)
 	}
-	timeoutCh := rs.armTimeout()
-	defer rs.disarmTimeout()
+	timeoutCh, ownTimer := rs.armTimeout()
+	defer rs.disarmTimeout(ownTimer)
 	select {
 	case m := <-r.pending.ready:
 		if m.fail != nil {
@@ -235,8 +237,8 @@ func (r *Request) UndeferConsume() bool {
 // cancelled. A receive whose message has already been handed over is not
 // cancellable — complete it with Wait (or Free, which drains it). An
 // aggregate (the handle the Ineighbor_* collectives return) cancels every
-// unfinished child: sends complete trivially, receives are cancelled, and
-// the aggregate reports cancelled only if every child ended finished — a
+// unfinished child (sends are finished from the start), and the aggregate
+// reports cancelled only if every child ended finished — a
 // child whose message already arrived keeps the aggregate alive and must
 // still be waited or freed. Mirrors MPI_Cancel; schedule executors use it
 // to abandon a failed phase without leaking matchable receives.
@@ -263,10 +265,6 @@ func (r *Request) Cancel() bool {
 		all := true
 		for _, ch := range r.children {
 			if ch == nil || ch.finished {
-				continue
-			}
-			if ch.kind == reqSend {
-				_, _ = ch.Wait() // buffered: completes at post time
 				continue
 			}
 			if !ch.Cancel() {
@@ -322,28 +320,24 @@ func (r *Request) Free() {
 	}
 }
 
-// Test reports whether the operation has completed, without blocking; when
-// it has, the status and error are as Wait would return them. Mirrors
-// MPI_Test for receive requests.
+// Test reports whether the operation has completed, without waiting for a
+// message; when it has, the status and error are as Wait would return them.
+// Mirrors MPI_Test for receive requests. A receive counts as completed from
+// the moment it is matched: that is when its WaitSet notification is posted,
+// a step ahead of the ready handoff, so an owner woken by the notification
+// always tests done (Waitany relies on it) — at the price of waiting out the
+// matcher's handoff, straight-line local code, when Test lands in between.
 func (r *Request) Test() (done bool, st Status, err error) {
 	if r.finished {
 		return true, r.status, r.err
 	}
 	switch r.kind {
-	case reqSend:
-		st, err = r.Wait()
-		return true, st, err
 	case reqRecv:
-		select {
-		case m := <-r.pending.ready:
-			// Hand the message back through the buffered channel and let
-			// Wait perform clock accounting and the scatter.
-			r.pending.ready <- m
-			st, err = r.Wait()
-			return true, st, err
-		default:
+		if !r.pending.delivered.Load() {
 			return false, Status{}, nil
 		}
+		st, err = r.Wait()
+		return true, st, err
 	case reqAggregate:
 		for _, ch := range r.children {
 			if done, _, _ := ch.Test(); !done {

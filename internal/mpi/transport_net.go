@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -232,20 +231,20 @@ func (t *netTransport) Drain() {
 // wire-encodable element type) without copying, plus its element id. The
 // view aliases the payload and must be consumed before the posting call
 // returns.
-func payloadView(p any) (b []byte, id wire.ElemID, err error) {
-	v := reflect.ValueOf(p)
-	if v.Kind() != reflect.Slice {
-		return nil, 0, fmt.Errorf("%w: payload %T is not a slice", wire.ErrBadElemType, p)
+func payloadView(p *payload) (b []byte, id wire.ElemID, err error) {
+	if p.wt == nil {
+		return nil, 0, fmt.Errorf("%w: message carries no payload", wire.ErrBadElemType)
 	}
-	id, err = wire.ElemIDOf(v.Type().Elem())
+	et := p.wt.elem()
+	id, err = wire.ElemIDOf(et)
 	if err != nil {
 		return nil, 0, err
 	}
-	n := v.Len() * int(v.Type().Elem().Size())
+	n := p.elems * int(et.Size())
 	if n == 0 {
 		return nil, id, nil
 	}
-	return unsafe.Slice((*byte)(v.UnsafePointer()), n), id, nil
+	return unsafe.Slice((*byte)(p.data), n), id, nil
 }
 
 // Send implements Transport. It encodes the message into a pooled frame
@@ -273,12 +272,7 @@ func (t *netTransport) Send(dst int, m *message) error {
 	}
 	// The frame owns a copy of the payload now: return a pooled wire,
 	// drop a zero-copy alias.
-	m.detach = nil
-	if rel := m.release; rel != nil {
-		m.release = nil
-		rel(t.w, m)
-	}
-	m.payload = nil
+	m.reclaim(t.w)
 	selfLoop := t.rankProc[dst] == t.cfg.Self
 	if selfLoop {
 		t.inflight.Add(1)
@@ -294,7 +288,7 @@ func (t *netTransport) Send(dst int, m *message) error {
 
 // encodeData encodes message m for world rank dst into a pooled buffer.
 func (t *netTransport) encodeData(dst int, m *message) (*[]byte, error) {
-	payload, elem, err := payloadView(m.payload)
+	payload, elem, err := payloadView(&m.payload)
 	if err != nil {
 		return nil, err
 	}
@@ -338,11 +332,17 @@ type handoff struct {
 func (t *netTransport) sendHandoff(dst int, m *message) error {
 	// The reader delivers the message after this call returns, so a
 	// zero-copy alias of the sender's user buffer must die now: detach
-	// into a pooled wire, exactly as an unexpected-queue detach would.
-	if d := m.detach; d != nil {
-		m.detach = nil
-		d(t.w, m)
+	// into a pooled wire, exactly as an unexpected-queue detach would. The
+	// caller's envelope dies with the call too (it is the sender's recycled
+	// scratch), so the parked message is a fresh copy that takes over the
+	// wire.
+	if m.alias {
+		m.wt.detach(t.w, &m.payload)
 	}
+	parked := new(message)
+	*parked = *m
+	m.payload = payload{}
+	m = parked
 	t.handoffMu.Lock()
 	t.handoffSeq++
 	tok := t.handoffSeq
@@ -359,11 +359,7 @@ func (t *netTransport) sendHandoff(dst int, m *message) error {
 		t.handoffMu.Lock()
 		delete(t.handoffs, tok)
 		t.handoffMu.Unlock()
-		if rel := m.release; rel != nil {
-			m.release = nil
-			rel(t.w, m)
-		}
-		m.payload = nil
+		m.reclaim(t.w)
 		return err
 	}
 	var tokbuf [binary.MaxVarintLen64]byte
@@ -707,28 +703,24 @@ func (t *netTransport) deliverFrame(h wire.Header, payload []byte) error {
 	if h.SrcWorld < 0 || h.SrcWorld >= t.w.size {
 		return fmt.Errorf("%w: src world rank %d", wire.ErrBadField, h.SrcWorld)
 	}
-	et, err := wire.ElemTypeOf(h.Elem)
+	wt, err := podWire(h.Elem)
 	if err != nil {
 		return err
 	}
-	v, _ := getWireReflect(t.w, et, h.Elems)
-	if h.PayloadLen > 0 {
-		dst := unsafe.Slice((*byte)(v.UnsafePointer()), h.PayloadLen)
-		copy(dst, payload)
-	}
-	m := &message{
+	m := message{
 		ctx:      h.Ctx,
 		epoch:    h.Epoch,
 		src:      h.Src,
 		tag:      h.Tag,
-		payload:  v.Interface(),
-		elems:    h.Elems,
 		bytes:    h.PayloadLen,
 		srcWorld: h.SrcWorld,
 		sseq:     h.Sseq,
-		release:  releaseWireAny,
 	}
-	t.w.ranks[h.Dst].box.deliver(m)
+	wt.draw(t.w, &m.payload, h.Elems)
+	if h.PayloadLen > 0 {
+		copy(unsafe.Slice((*byte)(m.data), h.PayloadLen), payload)
+	}
+	t.w.ranks[h.Dst].box.deliver(&m)
 	if t.rankProc[h.SrcWorld] == t.cfg.Self {
 		t.inflight.Add(-1) // self-loop frame delivered
 	}

@@ -181,7 +181,10 @@ func (s *WaitSet) Add(r *Request, owner int) {
 	case reqRecv:
 		s.attach(r, owner)
 	case reqAggregate:
-		attached := false
+		// attach reports the owner once per unfinished child receive — by
+		// notification, or immediately when the child is already matched.
+		// Only an aggregate with no such child needs a report of its own.
+		reported := false
 		var walk func(req *Request)
 		walk = func(req *Request) {
 			if req == nil || req.finished {
@@ -189,9 +192,8 @@ func (s *WaitSet) Add(r *Request, owner int) {
 			}
 			switch req.kind {
 			case reqRecv:
-				if s.attach(req, owner) {
-					attached = true
-				}
+				s.attach(req, owner)
+				reported = true
 			case reqAggregate:
 				for _, ch := range req.children {
 					walk(ch)
@@ -199,7 +201,7 @@ func (s *WaitSet) Add(r *Request, owner int) {
 			}
 		}
 		walk(r)
-		if !attached {
+		if !reported {
 			s.readyNow = append(s.readyNow, owner)
 		}
 	default:

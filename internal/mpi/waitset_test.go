@@ -149,8 +149,10 @@ func TestWaitSetAddAfterMatch(t *testing.T) {
 }
 
 // TestWaitSetAggregate attaches an aggregate of two receives under one
-// owner: the owner is signaled per child, and the aggregate tests done only
-// after both children completed.
+// owner: the owner is signaled exactly once per child — counted until the
+// set drains, since the aggregate can test done while the second child's
+// signal is still queued — and the set does not drain before the aggregate
+// tests done.
 func TestWaitSetAggregate(t *testing.T) {
 	run(t, 3, func(c *Comm) error {
 		if c.Rank() != 0 {
@@ -172,30 +174,41 @@ func TestWaitSetAggregate(t *testing.T) {
 		s := NewWaitSet(c, 2)
 		s.Add(agg, 9)
 		wakes := 0
+		done := false
 		for {
 			ready, err := s.Waitsome()
 			if err != nil {
 				return err
 			}
 			if ready == nil {
-				return fmt.Errorf("set drained before aggregate completed")
+				break
 			}
-			for range ready {
+			for _, owner := range ready {
+				if owner != 9 {
+					return fmt.Errorf("owner token %d, want 9", owner)
+				}
 				wakes++
 			}
-			if done, _, err := agg.Test(); done {
-				if err != nil {
-					return err
-				}
-				if wakes != 2 {
-					return fmt.Errorf("aggregate owner signaled %d times, want 2", wakes)
-				}
-				if b1[0] != 1 || b2[0] != 2 {
-					return fmt.Errorf("payloads = %d %d", b1[0], b2[0])
-				}
-				return nil
+			if done {
+				continue
+			}
+			// The aggregate may test done on the first wake, when the second
+			// child's message was handed over before its wake was consumed;
+			// that wake is then still owed, so keep draining.
+			if done, _, err = agg.Test(); err != nil {
+				return err
 			}
 		}
+		if !done {
+			return fmt.Errorf("set drained before aggregate completed")
+		}
+		if wakes != 2 {
+			return fmt.Errorf("aggregate owner signaled %d times, want 2", wakes)
+		}
+		if b1[0] != 1 || b2[0] != 2 {
+			return fmt.Errorf("payloads = %d %d", b1[0], b2[0])
+		}
+		return nil
 	})
 }
 

@@ -205,7 +205,11 @@ func (w *World) deadlockCheck(minBlocked time.Duration) *DeadlockError {
 		active++
 		op := w.blocked[r].Load()
 		ops[r] = op
-		if op == nil || now.Sub(op.since) < minBlocked || op.satisfiable() {
+		if op == nil || now.Sub(op.since) < minBlocked || op.satisfiable() || w.blocked[r].Load() != op {
+			// The last check validates the reading: pending receives are
+			// reposted by their owners, so "undelivered" is only evidence
+			// while the registration that named them is still in place (it
+			// is cleared before the receive can be reposted).
 			allStuck = false
 			continue
 		}

@@ -185,41 +185,66 @@ type rankState struct {
 	// whose sequence number does not advance, so two posters interleaving
 	// (rank goroutine + progress engine) must never deliver out of
 	// sequence order.
-	sendMu     sync.Mutex
-	sendSeq    uint64 // per-sender send sequence (duplicate suppression)
-	delayCount []int  // per-MsgDelay matching-message counters
-	dropCount  []int  // per-MsgDrop matching-message counters
-	dupCount   []int  // per-MsgDup matching-message counters
+	sendMu  sync.Mutex
+	sendSeq uint64 // per-sender send sequence (duplicate suppression)
+	// sendEnv is the envelope of the send in progress, guarded by sendMu:
+	// every send fills it and routes it, and the receiving side copies or
+	// encodes it before route returns, so no send allocates an envelope.
+	sendEnv message
+	// recvFree is the LIFO of receive operations the blocking forms (Recv,
+	// Sendrecv) run on: their request never reaches the caller, so the
+	// operation is taken here and returned before the call returns. The
+	// lock admits helper goroutines using blocking forms beside the rank's.
+	recvMu     sync.Mutex
+	recvFree   []*layoutRecv
+	delayCount []int // per-MsgDelay matching-message counters
+	dropCount  []int // per-MsgDrop matching-message counters
+	dupCount   []int // per-MsgDup matching-message counters
 	// blockTimer is the rank's reusable fallback-watchdog timer, armed for
-	// each blocking wait (one at a time per goroutine) instead of
-	// allocating a fresh timer per block.
+	// each blocking wait instead of allocating a fresh timer per block.
+	// timerBusy marks it taken: a helper goroutine that blocks on the same
+	// rank while the timer is armed uses a private one.
 	blockTimer *time.Timer
+	timerBusy  atomic.Bool
 	// met holds the rank's resolved metric pointers; nil when the run was
 	// configured without metrics (the instrumentation-off fast path).
 	met *mpiMetrics
 }
 
-// armTimeout returns the fallback-watchdog timer channel for one blocking
-// wait, reusing the rank's timer (nil when the timeout is disabled). The
-// rank's goroutine owns the timer; Go 1.23 timer semantics make
-// Reset-after-fire safe without draining.
-func (rs *rankState) armTimeout() <-chan time.Time {
+// armTimeout arms a fallback-watchdog timer for one blocking wait and
+// returns its channel (nil when the timeout is disabled) with the timer to
+// hand back to disarmTimeout. Normally that is the rank's own reusable
+// timer (own == nil); a second goroutine blocking on the same rank
+// meanwhile — a helper running a collective on another communicator — gets
+// a private one. Go 1.23 timer semantics make Reset-after-fire safe
+// without draining.
+func (rs *rankState) armTimeout() (ch <-chan time.Time, own *time.Timer) {
 	d := rs.world.timeout
 	if d <= 0 {
-		return nil
+		return nil, nil
+	}
+	if !rs.timerBusy.CompareAndSwap(false, true) {
+		own = time.NewTimer(d)
+		return own.C, own
 	}
 	if rs.blockTimer == nil {
 		rs.blockTimer = time.NewTimer(d)
 	} else {
 		rs.blockTimer.Reset(d)
 	}
-	return rs.blockTimer.C
+	return rs.blockTimer.C, nil
 }
 
-// disarmTimeout stops the rank's watchdog timer after a blocking wait.
-func (rs *rankState) disarmTimeout() {
-	if rs.blockTimer != nil {
+// disarmTimeout stops the timer of a finished blocking wait: the private
+// one armTimeout handed out, or else the rank's, which it frees for the
+// next wait.
+func (rs *rankState) disarmTimeout(own *time.Timer) {
+	switch {
+	case own != nil:
+		own.Stop()
+	case rs.world.timeout > 0:
 		rs.blockTimer.Stop()
+		rs.timerBusy.Store(false)
 	}
 }
 

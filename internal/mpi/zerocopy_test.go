@@ -4,10 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"time"
+	"unsafe"
 
 	"testing"
 
 	"cartcc/internal/datatype"
+	"cartcc/internal/wire"
 )
 
 // TestIprobeExactDeepQueue is the indexed-mailbox regression test: a
@@ -200,6 +202,32 @@ func TestWildcardExactArbitration(t *testing.T) {
 	}
 }
 
+// countingWire is wireOps[int] with the pool replaced by counters, so the
+// mailbox-level tests can watch the ownership protocol without a world:
+// release and detach count their invocations, and a detached payload is a
+// private copy the fake owns like a pooled wire.
+type countingWire struct {
+	wireOps[int]
+	released, detached *int
+}
+
+// wire is a payload that owns s, as if s had been drawn from the pool.
+func (cw countingWire) wire(s []int) payload {
+	p := wireOf(&s, len(s))
+	p.wt = cw
+	return p
+}
+
+func (cw countingWire) release(_ *World, p *payload) {
+	*cw.released++
+	p.hold, p.data = nil, nil
+}
+
+func (cw countingWire) detach(_ *World, p *payload) {
+	*cw.detached++
+	*p = cw.wire(append([]int(nil), unsafe.Slice((*int)(p.data), p.elems)...))
+}
+
 // TestPoisonedReceiveNeverDoubleRelease exercises the fault path of the
 // pooled-wire ownership protocol at the mailbox level: a receive that is
 // poisoned (its peer died) gets a fresh poison message with no payload and
@@ -210,9 +238,8 @@ func TestPoisonedReceiveNeverDoubleRelease(t *testing.T) {
 	box := &mailbox{}
 	released := 0
 	m := &message{
-		ctx: 1, src: 0, tag: 7,
-		payload: []int{1, 2, 3}, elems: 3, bytes: 24,
-		release: func(*World, *message) { released++ },
+		ctx: 1, src: 0, tag: 7, bytes: 24,
+		payload: countingWire{released: &released}.wire([]int{1, 2, 3}),
 	}
 
 	r1 := &pendingRecv{ctx: 1, src: 0, tag: 7, srcWorld: 0, ready: make(chan *message, 1)}
@@ -224,8 +251,8 @@ func TestPoisonedReceiveNeverDoubleRelease(t *testing.T) {
 	if poison.fail == nil {
 		t.Fatal("poisoned receive did not get a failure message")
 	}
-	if poison.payload != nil || poison.release != nil {
-		t.Fatal("poison message carries a payload or release hook")
+	if poison.data != nil || poison.hold != nil {
+		t.Fatal("poison message carries a payload or a wire")
 	}
 	if released != 0 {
 		t.Fatalf("release ran %d times before any message was consumed", released)
@@ -248,15 +275,13 @@ func TestPoisonedReceiveNeverDoubleRelease(t *testing.T) {
 	if released != 1 {
 		t.Fatalf("release ran %d times; want exactly 1", released)
 	}
-	if got.release != nil {
-		t.Fatal("release hook not cleared after the match")
+	if got.hold != nil || got.data != nil {
+		t.Fatal("wire not dropped from the envelope after the match")
 	}
 
-	// Waiting paths (request.go) re-release only via m.release, which is
-	// nil now: simulate the deferred-consume epilogue and re-check.
-	if rel := got.release; rel != nil {
-		rel(nil, got)
-	}
+	// Waiting paths (request.go) release only through reclaim, which finds
+	// no hold now: simulate the deferred-consume epilogue and re-check.
+	got.reclaim(nil)
 	if released != 1 {
 		t.Fatalf("release ran %d times after epilogue; want exactly 1", released)
 	}
@@ -269,16 +294,9 @@ func TestDetachResolvesZeroCopyAlias(t *testing.T) {
 	box := &mailbox{}
 	user := []int{10, 20, 30}
 	detached := 0
-	m := &message{
-		ctx: 1, src: 0, tag: 9,
-		payload: user, elems: 3, bytes: 24,
-		detach: func(_ *World, m *message) {
-			detached++
-			wire := make([]int, len(user))
-			copy(wire, m.payload.([]int))
-			m.payload = wire
-		},
-	}
+	released := 0
+	m := &message{ctx: 1, src: 0, tag: 9, bytes: 24, payload: aliasOf(user)}
+	m.wt = countingWire{released: &released, detached: &detached}
 	box.deliver(m)
 	if detached != 1 {
 		t.Fatalf("detach ran %d times; want 1", detached)
@@ -286,36 +304,48 @@ func TestDetachResolvesZeroCopyAlias(t *testing.T) {
 	// Sender reuses its buffer; the queued payload must be unaffected.
 	user[0], user[1], user[2] = -1, -1, -1
 	r := &pendingRecv{ctx: 1, src: 0, tag: 9, srcWorld: 0, ready: make(chan *message, 1)}
-	var got []int
-	r.consume = func(m *message) error {
-		got = append([]int(nil), m.payload.([]int)...)
-		return nil
-	}
+	got := &copyOut{}
+	r.consume = got
 	box.post(r)
 	mm := <-r.ready
 	if mm.consumeErr != nil {
 		t.Fatal(mm.consumeErr)
 	}
-	if len(got) != 3 || got[0] != 10 || got[1] != 20 || got[2] != 30 {
-		t.Fatalf("queued zero-copy payload corrupted by sender reuse: %v", got)
+	if len(got.s) != 3 || got.s[0] != 10 || got.s[1] != 20 || got.s[2] != 30 {
+		t.Fatalf("queued zero-copy payload corrupted by sender reuse: %v", got.s)
 	}
+	if released != 1 {
+		t.Fatalf("detached wire released %d times; want exactly 1", released)
+	}
+}
+
+// copyOut is a consumer that keeps a copy of the []int payload it is given.
+type copyOut struct{ s []int }
+
+func (c *copyOut) consume(p *payload) error {
+	c.s = append([]int(nil), unsafe.Slice((*int)(p.data), p.elems)...)
+	return nil
 }
 
 // TestWirePoolRecycles checks the size-bucketed pool round trip: a
 // released wire of a pool-shaped capacity comes back from getWire.
 func TestWirePoolRecycles(t *testing.T) {
 	w := &World{}
-	wire, pooled := getWire[int32](w, 100)
-	if len(wire) != 100 || cap(wire) != 128 {
-		t.Fatalf("getWire(100) = len %d cap %d; want 100/128", len(wire), cap(wire))
+	h, pooled := getWire[int32](w, 100)
+	if len(*h) != 128 || cap(*h) != 128 {
+		t.Fatalf("getWire(100) = len %d cap %d; want the full 128-element bucket", len(*h), cap(*h))
 	}
 	if pooled {
 		t.Fatal("first getWire from an empty pool reported a pool hit")
 	}
-	m := &message{payload: wire}
-	releaseWire[int32](w, m)
-	if m.payload != nil {
-		t.Fatal("releaseWire did not clear the payload")
+	p := wireOf(h, 100)
+	p.reclaim(w)
+	if p.data != nil || p.hold != nil {
+		t.Fatal("reclaim did not clear the payload")
+	}
+	p.reclaim(w) // no hold left: must not pool the wire twice
+	if out := w.wireOut.Load(); out != 0 {
+		t.Fatalf("wires outstanding after one draw and one release: %d", out)
 	}
 	// Under the race detector sync.Pool drops Puts at random (by design,
 	// to shake out reuse races), so a single dropped Put must not strand
@@ -323,12 +353,13 @@ func TestWirePoolRecycles(t *testing.T) {
 	// a recycle within a bounded number of round trips.
 	recycled := false
 	for i := 0; i < 100 && !recycled; i++ {
-		releaseWire[int32](w, &message{payload: wire})
+		w.wireOut.Add(1)
+		putWire(w, h)
 		again, hit := getWire[int32](w, 70)
-		if cap(again) != 128 {
-			t.Fatalf("wire cap %d; want 128", cap(again))
+		if cap(*again) != 128 {
+			t.Fatalf("wire cap %d; want 128", cap(*again))
 		}
-		recycled = &again[0] == &wire[0]
+		recycled = again == h
 		if recycled && !hit {
 			t.Fatal("recycled wire not reported as a pool hit")
 		}
@@ -338,7 +369,35 @@ func TestWirePoolRecycles(t *testing.T) {
 	}
 	// Oversized and odd-capacity slices are never pooled.
 	big := make([]int32, 1<<wireMaxClass+1)
-	releaseWire[int32](w, &message{payload: big})
+	putWire(w, &big)
 	odd := make([]int32, 100) // cap 100: not a power of two
-	releaseWire[int32](w, &message{payload: odd})
+	putWire(w, &odd)
+	if again, hit := getWire[int32](w, 100); hit && again == &odd {
+		t.Fatal("odd-capacity wire was pooled")
+	}
+}
+
+// TestPodWiresCoverWireRegistry pins podWires to the wire codec's element
+// table: every id the codec accepts has an entry of that element type, and
+// no other id has one — an id added to internal/wire without its wireOps
+// would otherwise surface only as ErrBadElemType on a live socket.
+func TestPodWiresCoverWireRegistry(t *testing.T) {
+	for i := 0; i <= 255; i++ {
+		id := wire.ElemID(i)
+		want, werr := wire.ElemTypeOf(id)
+		wt, perr := podWire(id)
+		if (werr == nil) != (perr == nil) {
+			t.Errorf("elem id %d: wire registry says %v, podWires says %v", id, werr, perr)
+			continue
+		}
+		if perr != nil {
+			if !errors.Is(perr, wire.ErrBadElemType) {
+				t.Errorf("elem id %d: podWire error %v is not ErrBadElemType", id, perr)
+			}
+			continue
+		}
+		if got := wt.elem(); got != want {
+			t.Errorf("elem id %d: podWires holds []%v, wire registry []%v", id, got, want)
+		}
+	}
 }
