@@ -381,9 +381,6 @@ func MeshAlltoallInit(c *Comm, m int) (*Plan, error) { return cart.MeshAlltoallI
 // start them in the same order.
 type Future = cart.Future
 
-// Handle is the historical name of Future.
-type Handle = cart.Handle
-
 // ErrFutureCancelled is the typed completion error of a cancelled future
 // (it also matches mpi.ErrCancelled under errors.Is).
 var ErrFutureCancelled = cart.ErrFutureCancelled

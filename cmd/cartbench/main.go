@@ -11,14 +11,16 @@
 // charts of one exchange), scaling (p-independence check), mesh
 // (non-periodic pruned schedules), reduce and reorder (the implemented
 // extensions), predict (analytic model), chaos (injected-fault sweep with
-// survivor recovery and deadlock diagnosis), allocs and pipeline
-// (perf-trajectory records BENCH_P2/P3), autotune (Auto vs fixed
-// algorithms with the 1.05x perf gate, BENCH_P7), concurrent (async
-// futures vs blocking execution across W tenant worlds with throughput
-// and latency gates, BENCH_P8), transport (loopback vs framed tcp/unix
-// socket backends with the loopback fast-path allocation gate,
-// BENCH_P10), trace (Perfetto/Chrome trace capture with metrics and
-// predicted-vs-observed accounting; -o sets the output path), and all.
+// survivor recovery and deadlock diagnosis), trace (Perfetto/Chrome trace
+// capture with metrics and predicted-vs-observed accounting; -o sets the
+// output path), and all.
+//
+// Performance gates do not live here: the runtime's wall-clock cost is
+// measured by the benchmark/ module, and the deterministic virtual-time
+// gates (Auto within 1.05x of the best fixed algorithm, the pipelined
+// executor against the barriered one) are tests in internal/cart:
+//
+//	go test -v -run 'TestAutoWithinGateOfBestFixed|TestPipelinedBeatsBarrieredUnderModel' ./internal/cart
 //
 // Flags:
 //
@@ -106,7 +108,7 @@ func main() {
 
 	args := flag.Args()
 	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "cartbench: no experiment named; try: table1 fig3 fig4 fig5 fig6 fig7 crossover timeline scaling mesh reduce reorder predict chaos allocs pipeline autotune concurrent transport trace all")
+		fmt.Fprintln(os.Stderr, "cartbench: no experiment named; try: table1 fig3 fig4 fig5 fig6 fig7 crossover timeline scaling mesh reduce reorder predict chaos trace all")
 		os.Exit(2)
 	}
 	mode := renderText
@@ -181,210 +183,11 @@ func run(name string, sc bench.Scale, mode renderMode) error {
 		return predict()
 	case "chaos":
 		return chaosExperiment(sc)
-	case "allocs":
-		return allocsExperiment(sc)
-	case "pipeline":
-		return pipelineExperiment(sc)
-	case "autotune":
-		return autotuneExperiment(sc)
-	case "concurrent":
-		return concurrentExperiment(sc)
-	case "transport":
-		return transportExperiment(sc)
 	case "trace":
 		return traceExperiment()
 	default:
 		return fmt.Errorf("unknown experiment %q", name)
 	}
-}
-
-// allocsExperiment measures the runtime's per-operation software overhead
-// (ns/op, B/op, allocs/op across the world) for the trivial and combining
-// Cart_alltoall and the direct neighbor baseline, and records the sweep in
-// BENCH_P2.json so the perf trajectory is tracked across PRs.
-func allocsExperiment(sc bench.Scale) error {
-	cfg := bench.AllocConfig{D: 2, N: 3, Procs: 16, BlockSizes: []int{1, 16, 256}}
-	if sc.Reps > 0 && sc.Reps < bench.DefaultScale.Reps {
-		cfg.Iters = 50 // quick scale
-	}
-	rep, err := bench.RunAllocBench(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println(bench.FormatAllocReport(rep))
-	rec := &bench.BenchP2{
-		Description: "Allocation profile of one Cart_alltoall across the world (2-d 9-point stencil, p=16, int32 blocks); totals per operation over all ranks.",
-		After:       rep,
-	}
-	// Track the trajectory: the previous sweep (its baseline if it had one,
-	// else its result) becomes the "before" of this record.
-	if prev, err := bench.ReadBenchP2("BENCH_P2.json"); err == nil && prev != nil {
-		if prev.Before != nil {
-			rec.Before = prev.Before
-		} else {
-			rec.Before = prev.After
-		}
-	}
-	if err := bench.WriteBenchP2("BENCH_P2.json", rec); err != nil {
-		return err
-	}
-	fmt.Println("wrote BENCH_P2.json")
-	return nil
-}
-
-// pipelineExperiment measures the dependency-DAG pipelined executor
-// against the classic per-phase Waitall executor — virtual-time ns/op
-// under the hydra LogGP model, swept over block size and over the
-// neighborhood's dependency structure (dense Moore forwarding vs
-// barrier-free Star rounds), plus the straggler sweep that holds back one
-// rank's messages — and records the sweep in BENCH_P3.json so the perf
-// trajectory is tracked across PRs.
-func pipelineExperiment(sc bench.Scale) error {
-	cfg := bench.PipelineConfig{}
-	if sc.Reps > 0 && sc.Reps < bench.DefaultScale.Reps {
-		cfg.Iters = 5 // quick scale
-		cfg.StragglerIters = 5
-	}
-	rep, err := bench.RunPipelineBench(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println(bench.FormatPipelineReport(rep))
-	rec := &bench.BenchP3{
-		Description: "Barriered vs dependency-DAG pipelined executor: virtual-time ns/op (hydra LogGP model) of the combining Cart_alltoall/Cart_allgather on d>=2 tori (int32 blocks) across dense-forwarding Moore and barrier-free Star neighborhoods, and straggler tail latency with every message of one rank held back.",
-		After:       rep,
-	}
-	// Track the trajectory: the previous sweep (its baseline if it had one,
-	// else its result) becomes the "before" of this record.
-	if prev, err := bench.ReadBenchP3("BENCH_P3.json"); err == nil && prev != nil {
-		if prev.Before != nil {
-			rec.Before = prev.Before
-		} else {
-			rec.Before = prev.After
-		}
-	} else {
-		// First record: before this PR every plan ran the per-phase Waitall
-		// order, so the baseline is the barriered measurement itself.
-		rec.Before = bench.BaselineReport(rep)
-	}
-	if err := bench.WriteBenchP3("BENCH_P3.json", rec); err != nil {
-		return err
-	}
-	fmt.Println("wrote BENCH_P3.json")
-	return nil
-}
-
-// autotuneExperiment sweeps the Auto-selected schedule against both
-// fixed algorithms under the hydra cost model — (op, stencil, block
-// size) — records the sweep in BENCH_P7.json, and enforces the perf
-// gate: at every swept point the autotuned virtual time must be within
-// bench.AutotuneGateRatio of the best fixed algorithm.
-func autotuneExperiment(sc bench.Scale) error {
-	cfg := bench.AutotuneConfig{}
-	if sc.Reps > 0 && sc.Reps < bench.DefaultScale.Reps {
-		cfg.Iters = 2 // quick scale
-	}
-	rep, err := bench.RunAutotuneBench(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println(bench.FormatAutotuneReport(rep))
-	rec := &bench.BenchP7{
-		Description: "Self-tuning algorithm selection: virtual-time ns/op (hydra model) of Algorithm Auto vs fixed trivial/combining for Cart_alltoall and Cart_allgather on 2-d and 3-d stencil tori (int32 blocks), with the selector's pick and predicted crossover per point; the gate demands auto within 1.05x of the best fixed algorithm everywhere.",
-		After:       rep,
-	}
-	// Track the trajectory: the previous sweep (its baseline if it had one,
-	// else its result) becomes the "before" of this record.
-	if prev, err := bench.ReadBenchP7("BENCH_P7.json"); err == nil && prev != nil {
-		if prev.Before != nil {
-			rec.Before = prev.Before
-		} else {
-			rec.Before = prev.After
-		}
-	}
-	if err := bench.WriteBenchP7("BENCH_P7.json", rec); err != nil {
-		return err
-	}
-	fmt.Println("wrote BENCH_P7.json")
-	return bench.GateAutotune(rep)
-}
-
-// concurrentExperiment benchmarks the asynchronous progress engine
-// against blocking execution — aggregate throughput across W tenant
-// worlds with K futures in flight, and single-collective latency at a
-// large block size — records the run in BENCH_P8.json, and enforces both
-// perf gates: >=2x aggregate ops/s at the largest world count where
-// overlap is measurable (default scale, multi-core rig; quick scale and
-// serial rigs demand parity — see bench.RunConcurrentBench) and async
-// latency within 1.05x of blocking Run.
-func concurrentExperiment(sc bench.Scale) error {
-	cfg := bench.ConcurrentConfig{}
-	if sc.Reps > 0 && sc.Reps < bench.DefaultScale.Reps {
-		cfg.Iters = 16 // quick scale
-		cfg.LatencyIters = 100
-		cfg.Rounds = 4
-		cfg.ThroughputGate = 1.0
-	}
-	rep, err := bench.RunConcurrentBench(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println(bench.FormatConcurrentReport(rep))
-	rec := &bench.BenchP8{
-		Description: "Async collective futures vs blocking execution (wall clock): aggregate Cart_alltoall throughput of W independent worlds with K futures in flight through the per-world progress engine against serialized blocking loops, and single-collective Start+Wait latency vs Run at 8 KiB blocks; gates demand >=2x aggregate throughput at W=8 (parity on single-core rigs, where blocking parks are already backfilled by co-tenant worlds) and latency within 1.05x.",
-		After:       rep,
-	}
-	// Track the trajectory: the previous run (its baseline if it had one,
-	// else its result) becomes the "before" of this record.
-	if prev, err := bench.ReadBenchP8("BENCH_P8.json"); err == nil && prev != nil {
-		if prev.Before != nil {
-			rec.Before = prev.Before
-		} else {
-			rec.Before = prev.After
-		}
-	}
-	if err := bench.WriteBenchP8("BENCH_P8.json", rec); err != nil {
-		return err
-	}
-	fmt.Println("wrote BENCH_P8.json")
-	return bench.GateConcurrent(rep)
-}
-
-// transportExperiment sweeps ping-pong latency and trivial Cart_alltoall
-// cost over the loopback, tcp and unix transport backends (the socket
-// backends as ForceRemote self-worlds, so every message crosses a real
-// framed connection), records the sweep in BENCH_P10.json, and enforces
-// the loopback fast-path gate: in-process delivery must allocate no
-// more than the framed tcp path and stay flat in the block size.
-func transportExperiment(sc bench.Scale) error {
-	cfg := bench.TransportBenchConfig{}
-	if sc.Reps > 0 && sc.Reps < bench.DefaultScale.Reps {
-		cfg.Iters = 40 // quick scale
-		cfg.PingIters = 400
-	}
-	rep, err := bench.RunTransportBench(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println(bench.FormatTransportReport(rep))
-	rec := &bench.BenchP10{
-		Description: "Pluggable transport sweep (wall clock): ping-pong round-trip latency between two ranks (64 int64s) and trivial Cart_alltoall on a 3x3 Moore torus (int64 blocks) over the in-process loopback and the framed tcp/unix socket backends as ForceRemote self-worlds; the gate demands loopback allocate no more than tcp at every alltoall point and stay flat in the block size.",
-		After:       rep,
-	}
-	// Track the trajectory: the previous sweep (its baseline if it had one,
-	// else its result) becomes the "before" of this record.
-	if prev, err := bench.ReadBenchP10("BENCH_P10.json"); err == nil && prev != nil {
-		if prev.Before != nil {
-			rec.Before = prev.Before
-		} else {
-			rec.Before = prev.After
-		}
-	}
-	if err := bench.WriteBenchP10("BENCH_P10.json", rec); err != nil {
-		return err
-	}
-	fmt.Println("wrote BENCH_P10.json")
-	return bench.GateTransportLoopback(rep)
 }
 
 // traceOutPath is the -o flag value, bound in main.

@@ -62,8 +62,13 @@ func TestChaosScenarios(t *testing.T) {
 	}
 }
 
+// TestRunUnknownExperiment: unknown names are errors, including the
+// performance sweeps whose gates live in internal/cart tests and the
+// benchmark module rather than here.
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run("nosuch", bench.QuickScale, renderText); err == nil {
-		t.Fatal("unknown experiment accepted")
+	for _, name := range []string{"nosuch", "allocs", "pipeline", "autotune", "concurrent", "transport"} {
+		if err := run(name, bench.QuickScale, renderText); err == nil {
+			t.Errorf("unknown experiment %q accepted", name)
+		}
 	}
 }

@@ -234,7 +234,10 @@ func lossyPool() bool {
 // collective — Run's (send, recv, temp) buffer array, Start's Future —
 // whatever the number of rounds: 9 on this world, against 36 messages per
 // combining alltoall and 72 per trivial one. A single per-message
-// allocation reintroduced anywhere on the path adds at least 36.
+// allocation reintroduced anywhere on the path adds at least 36. The
+// m=1024 (8 KiB block) cases hold the count flat in the block size: the
+// zero-copy detach and pooled wires carry large payloads without fresh
+// buffers.
 func TestCollectiveAllocsAreOnePerRank(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation benchmark in -short mode")
@@ -245,10 +248,10 @@ func TestCollectiveAllocsAreOnePerRank(t *testing.T) {
 	if mpi.TransportEnvActive() {
 		t.Skip("loopback property: a socket backend frames and decodes every message")
 	}
-	const m, ranks = 16, 9
-	runOf := func(init func(c *Comm) (*Plan, error), sendBlocks func(t int) int) func(c *Comm, t int) (func() error, error) {
-		return func(c *Comm, t int) (func() error, error) {
-			plan, err := init(c)
+	const ranks = 9
+	runOf := func(init func(c *Comm, m int) (*Plan, error), sendBlocks func(t int) int) func(c *Comm, t, m int) (func() error, error) {
+		return func(c *Comm, t, m int) (func() error, error) {
+			plan, err := init(c, m)
 			if err != nil {
 				return nil, err
 			}
@@ -257,16 +260,22 @@ func TestCollectiveAllocsAreOnePerRank(t *testing.T) {
 			return func() error { return Run(plan, send, recv) }, nil
 		}
 	}
+	alltoall := func(algo Algorithm, opts ...PlanOption) func(c *Comm, m int) (*Plan, error) {
+		return func(c *Comm, m int) (*Plan, error) { return AlltoallInit(c, m, algo, opts...) }
+	}
 	perNeighbor := func(t int) int { return t }
 	cases := []struct {
 		name  string
-		setup func(c *Comm, t int) (func() error, error)
+		m     int
+		setup func(c *Comm, t, m int) (func() error, error)
 	}{
-		{"alltoall-combining-run", runOf(func(c *Comm) (*Plan, error) { return AlltoallInit(c, m, Combining) }, perNeighbor)},
-		{"allgather-combining-run", runOf(func(c *Comm) (*Plan, error) { return AllgatherInit(c, m, Combining) }, func(int) int { return 1 })},
-		{"alltoall-trivial-run", runOf(func(c *Comm) (*Plan, error) { return AlltoallInit(c, m, Trivial) }, perNeighbor)},
-		{"alltoall-combining-barriered-run", runOf(func(c *Comm) (*Plan, error) { return AlltoallInit(c, m, Combining, WithBarrieredPhases()) }, perNeighbor)},
-		{"alltoall-combining-start-wait", func(c *Comm, t int) (func() error, error) {
+		{"alltoall-combining-run", 16, runOf(alltoall(Combining), perNeighbor)},
+		{"alltoall-combining-run-m1024", 1024, runOf(alltoall(Combining), perNeighbor)},
+		{"allgather-combining-run", 16, runOf(func(c *Comm, m int) (*Plan, error) { return AllgatherInit(c, m, Combining) }, func(int) int { return 1 })},
+		{"alltoall-trivial-run", 16, runOf(alltoall(Trivial), perNeighbor)},
+		{"alltoall-trivial-run-m1024", 1024, runOf(alltoall(Trivial), perNeighbor)},
+		{"alltoall-combining-barriered-run", 16, runOf(alltoall(Combining, WithBarrieredPhases()), perNeighbor)},
+		{"alltoall-combining-start-wait", 16, func(c *Comm, t, m int) (func() error, error) {
 			plan, err := AlltoallInit(c, m, Combining)
 			if err != nil {
 				return nil, err
@@ -284,8 +293,8 @@ func TestCollectiveAllocsAreOnePerRank(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			allocs := measureSteadyAllocs(t, tc.setup)
-			t.Logf("%.2f allocs per collective, world-wide (%d ranks)", allocs, ranks)
+			allocs := measureSteadyAllocs(t, func(c *Comm, nbhLen int) (func() error, error) { return tc.setup(c, nbhLen, tc.m) })
+			t.Logf("%.2f allocs per collective at m=%d, world-wide (%d ranks)", allocs, tc.m, ranks)
 			if allocs < 1 {
 				t.Fatal("benchmark measured (almost) no allocations; harness broken")
 			}
@@ -368,10 +377,11 @@ func TestLoggedRunStaysAllocationFree(t *testing.T) {
 // plan cache — no schedule recompilation, no DAG rebuild. The hit path is
 // a key probe plus one Plan bind plus the geometry closures: a fixed
 // handful of small allocations, orders of magnitude below a compile
-// (thousands of allocs on this stencil, per BENCH_P2). Only rank 0
-// measures, bracketed by barriers; the peers sit blocked and the world is
-// created with the watchdog and deadlock monitor off so no background
-// goroutine allocates into the measurement.
+// (thousands of allocs on this stencil: the benchmark's plan_setup
+// workload drops the cache every op and reads them in allocs_per_op).
+// Only rank 0 measures, bracketed by barriers; the peers sit blocked and
+// the world is created with the watchdog and deadlock monitor off so no
+// background goroutine allocates into the measurement.
 func TestRepeatInitIsCacheHit(t *testing.T) {
 	ResetPlanCache()
 	t.Cleanup(ResetPlanCache)

@@ -9,6 +9,7 @@ import (
 
 	"cartcc/internal/datatype"
 	"cartcc/internal/mpi"
+	"cartcc/internal/netmodel"
 	"cartcc/internal/trace"
 	"cartcc/internal/vec"
 )
@@ -441,6 +442,139 @@ func TestPipelinedMatchesBarriered(t *testing.T) {
 				return nil
 			})
 		})
+	}
+}
+
+// modelNsPerOp times iters back-to-back executions of one plan on a world
+// priced by the hydra cost model and returns the slowest rank's virtual
+// nanoseconds per operation, plus the family the plan ran (Auto's pick).
+// A warm-up execution resolves Auto and fills plan scratch; a barrier then
+// synchronizes the virtual clocks before the timed window. The clock is
+// deterministic, so one measurement is the answer. faults may be nil.
+func modelNsPerOp(t *testing.T, dims []int, nbh vec.Neighborhood, op OpKind, m, iters int,
+	faults *mpi.FaultPlan, algo Algorithm, opts ...PlanOption) (float64, Algorithm) {
+	t.Helper()
+	procs := gridSize(dims)
+	elapsed := make([]float64, procs)
+	var ran Algorithm
+	err := mpi.Run(mpi.Config{Procs: procs, Model: netmodel.Hydra(), Seed: 1, DeadlockPoll: -1, Faults: faults, Timeout: 5 * time.Minute}, func(w *mpi.Comm) error {
+		c, err := NeighborhoodCreate(w, dims, nil, nbh, nil)
+		if err != nil {
+			return err
+		}
+		var plan *Plan
+		sendN := len(nbh) * m
+		if op == OpAllgather {
+			sendN = m
+			plan, err = AllgatherInit(c, m, algo, opts...)
+		} else {
+			plan, err = AlltoallInit(c, m, algo, opts...)
+		}
+		if err != nil {
+			return err
+		}
+		send := make([]int32, sendN)
+		recv := make([]int32, len(nbh)*m)
+		if err := Run(plan, send, recv); err != nil {
+			return err
+		}
+		if w.Rank() == 0 {
+			ran = plan.Effective()
+		}
+		if err := mpi.Barrier(w); err != nil {
+			return err
+		}
+		v0 := w.VTime()
+		for i := 0; i < iters; i++ {
+			if err := Run(plan, send, recv); err != nil {
+				return err
+			}
+		}
+		elapsed[w.Rank()] = w.VTime() - v0
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("%v %v d=%d m=%d: %v", op, algo, len(dims), m, err)
+	}
+	worst := 0.0
+	for _, e := range elapsed {
+		worst = max(worst, e)
+	}
+	return worst * 1e9 / float64(iters), ran
+}
+
+// TestPipelinedBeatsBarrieredUnderModel is the pipelining gate, priced on
+// the hydra model's virtual clock. The dependency-DAG executor may never
+// be slower than the per-phase Waitall one (WithBarrieredPhases). On full
+// Moore stencils every round forwards blocks from every earlier receive,
+// so the DAG is the phase barrier and the two must tie exactly. On Star
+// stencils nothing is forwarded, every round is barrier-free, and the d
+// stacked per-phase latency terms collapse toward one: at d=3, m=1 that
+// must be worth 1.5x (1.63x measured). The straggler leg holds back every
+// message of rank 1 by 5 µs (about 3α); on the Star r=2 torus the
+// pipelined executor must hide at least 20 % of the barriered run time
+// (23 % measured) by running the unaffected rounds meanwhile. Run with -v
+// to print the tables.
+func TestPipelinedBeatsBarrieredUnderModel(t *testing.T) {
+	const iters = 5
+	cases := []struct {
+		label   string
+		dims    []int
+		dense   bool // full Moore: the DAG equals the phase barrier
+		stencil func() (vec.Neighborhood, error)
+	}{
+		{"moore r=1", []int{4, 4}, true, func() (vec.Neighborhood, error) { return vec.Stencil(2, 3, -1) }},
+		{"star r=2", []int{5, 5}, false, func() (vec.Neighborhood, error) { return vec.Star(2, 2) }},
+		{"star r=1", []int{3, 3, 3}, false, func() (vec.Neighborhood, error) { return vec.Star(3, 1) }},
+	}
+	t.Logf("%-10s %-10s %2s %9s %16s %16s %8s", "op", "stencil", "d", "m(elems)", "barriered ns/op", "pipelined ns/op", "speedup")
+	for _, tc := range cases {
+		nbh, err := tc.stencil()
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := len(tc.dims)
+		for _, op := range []OpKind{OpAlltoall, OpAllgather} {
+			for _, m := range []int{1, 16, 256, 4096} {
+				barr, _ := modelNsPerOp(t, tc.dims, nbh, op, m, iters, nil, Combining, WithBarrieredPhases())
+				pipe, _ := modelNsPerOp(t, tc.dims, nbh, op, m, iters, nil, Combining)
+				t.Logf("%-10v %-10s %2d %9d %16.0f %16.0f %8.2f", op, tc.label, d, m, barr, pipe, barr/pipe)
+				switch {
+				case pipe > barr:
+					t.Errorf("%v %s m=%d: pipelined %.0f ns/op is slower than barriered %.0f", op, tc.label, m, pipe, barr)
+				case tc.dense && pipe != barr:
+					t.Errorf("%v %s m=%d: pipelined %.0f ns/op should tie barriered %.0f on a dense-forwarding stencil", op, tc.label, m, pipe, barr)
+				case !tc.dense && d == 3 && m == 1 && barr/pipe < 1.5:
+					t.Errorf("%v %s m=1: speedup %.2fx, want >= 1.5x from barrier-free rounds", op, tc.label, barr/pipe)
+				}
+			}
+		}
+	}
+
+	const delay = 5 * time.Microsecond
+	faults := &mpi.FaultPlan{Delays: []mpi.MsgDelay{{From: 1, To: -1, DelayV: delay.Seconds()}}}
+	t.Logf("straggler: every message of rank 1 held back %v (virtual)", delay)
+	t.Logf("%-10s %-10s %16s %16s %7s", "op", "stencil", "barriered ns/op", "pipelined ns/op", "hidden")
+	for _, tc := range cases {
+		if len(tc.dims) != 2 {
+			continue
+		}
+		nbh, err := tc.stencil()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range []OpKind{OpAlltoall, OpAllgather} {
+			barr, _ := modelNsPerOp(t, tc.dims, nbh, op, 1, iters, faults, Combining, WithBarrieredPhases())
+			pipe, _ := modelNsPerOp(t, tc.dims, nbh, op, 1, iters, faults, Combining)
+			hidden := (barr - pipe) / barr
+			t.Logf("%-10v %-10s %16.0f %16.0f %6.0f%%", op, tc.label, barr, pipe, 100*hidden)
+			if pipe > barr {
+				t.Errorf("straggler %v %s: pipelined %.0f ns/op is slower than barriered %.0f", op, tc.label, pipe, barr)
+			}
+			if !tc.dense && hidden < 0.20 {
+				t.Errorf("straggler %v %s: pipelined hides %.0f%% of the delay-inflated run time, want >= 20%%", op, tc.label, 100*hidden)
+			}
+		}
 	}
 }
 

@@ -45,10 +45,6 @@ type Future struct {
 	commitOff time.Duration // offset on the async trace log's clock
 }
 
-// Handle is the historical name of Future, kept for the pre-engine Start
-// API.
-type Handle = Future
-
 // Wait blocks until the collective completes and returns its error.
 // Waiting repeatedly returns the recorded result. A waiter does not just
 // park: it takes over driving the progress engine. Registering as a
@@ -529,7 +525,6 @@ func Start[T any](p *Plan, send, recv []T) (*Future, error) {
 	ex.ws = nil
 	ex.sink = w.sink
 	ex.tagOff = asyncTagBase + seq*asyncTagSpan - tagBase
-	ex.quiet = true
 	slot := w.commitSlot()
 	ex.slot = slot
 	ex.ownerBase = slot << ownerShift

@@ -150,11 +150,11 @@ type pipeExec[T any] struct {
 	// the gate posts the execution's leaf sentinel once the last leaf
 	// (and the attach-time bias) has been accounted.
 	leafGate *atomic.Int32
-	// quiet suppresses round-log events: the plan's RoundLog is
-	// single-goroutine, and an async execution posts from the committing
-	// caller concurrently with the engine driver (AsyncLog is the async
-	// trace story).
-	quiet    bool
+	// rlog is the plan's round log for synchronous runs. Async executions
+	// leave it nil: the RoundLog is single-goroutine, and an async
+	// execution posts from the committing caller concurrently with the
+	// engine driver (AsyncLog is the async trace story).
+	rlog     *trace.RoundLog
 	posted   int // posted, unretired tracked receives (window occupancy)
 	nextPost int // next flat index to consider for receive posting
 	remRecv  int
@@ -170,7 +170,7 @@ func runPipelined[T any](p *Plan, ops *roundOps[T], bufs [][]T) error {
 	n := len(p.flat)
 	st.ws.Reset()
 	st.reset(p)
-	e := &pipeExec[T]{p: p, st: st, ops: ops, bufs: bufs, ws: st.ws, remRecv: st.nRecvs, remLive: st.nLive, remSend: st.nSends}
+	e := &pipeExec[T]{p: p, st: st, ops: ops, bufs: bufs, ws: st.ws, rlog: p.rlog, remRecv: st.nRecvs, remLive: st.nLive, remSend: st.nSends}
 
 	// Receives first (window depth), then every barrier-free send.
 	if err := e.fillWindow(); err != nil {
@@ -226,7 +226,7 @@ func runPipelined[T any](p *Plan, ops *roundOps[T], bufs [][]T) error {
 		}
 		st.retired[i] = true
 		e.remRecv--
-		e.logRound(p.deps[i].phase, p.deps[i].idx, p.flat[i].recvFrom, trace.RoundRecvDone)
+		logRound(e.rlog, p.deps[i].phase, p.deps[i].idx, p.flat[i].recvFrom, trace.RoundRecvDone)
 		p.countRetire()
 		if m := p.cmet; m != nil {
 			m.retireNs.Observe(time.Now().UnixNano() - st.postNs[i])
@@ -262,7 +262,7 @@ func (e *pipeExec[T]) fillWindow() error {
 		req := e.ops.recv[i].Start(e.bufs, e.tagOff, st.deferred[i])
 		st.recvPosted[i] = true
 		e.nextPost++
-		e.logRound(p.deps[i].phase, p.deps[i].idx, r.recvFrom, trace.RoundRecvPost)
+		logRound(e.rlog, p.deps[i].phase, p.deps[i].idx, r.recvFrom, trace.RoundRecvPost)
 		p.countRecvPost()
 		if m := p.cmet; m != nil {
 			st.postNs[i] = time.Now().UnixNano()
@@ -309,7 +309,7 @@ func (e *pipeExec[T]) postSend(i int32) error {
 	}
 	st.sendPosted[i] = true
 	e.remSend--
-	e.logRound(p.deps[i].phase, p.deps[i].idx, r.sendTo, trace.RoundSendPost)
+	logRound(e.rlog, p.deps[i].phase, p.deps[i].idx, r.sendTo, trace.RoundSendPost)
 	p.countSend(r)
 	for _, s := range p.deps[i].warSucc {
 		st.scatLeft[s]--
@@ -350,7 +350,7 @@ func (e *pipeExec[T]) tryRetire(i int32) error {
 	e.posted--
 	e.remRecv--
 	e.remLive--
-	e.logRound(p.deps[i].phase, p.deps[i].idx, p.flat[i].recvFrom, trace.RoundRecvDone)
+	logRound(e.rlog, p.deps[i].phase, p.deps[i].idx, p.flat[i].recvFrom, trace.RoundRecvDone)
 	p.countRetire()
 	if m := p.cmet; m != nil {
 		m.retireNs.Observe(time.Now().UnixNano() - st.postNs[i])
@@ -388,7 +388,7 @@ func runPipelinedModel[T any](p *Plan, ops *roundOps[T], bufs [][]T) error {
 	st := p.pipeScratch()
 	n := len(p.flat)
 	st.reset(p)
-	e := &pipeExec[T]{p: p, st: st, ops: ops, bufs: bufs, ws: st.ws, remRecv: st.nRecvs, remLive: st.nRecvs, remSend: st.nSends}
+	e := &pipeExec[T]{p: p, st: st, ops: ops, bufs: bufs, ws: st.ws, rlog: p.rlog, remRecv: st.nRecvs, remLive: st.nRecvs, remSend: st.nSends}
 
 	// Post every receive upfront (posting is free on the virtual clock and
 	// keeps the match-time-consume path hitting), then every barrier-free
@@ -401,7 +401,7 @@ func runPipelinedModel[T any](p *Plan, ops *roundOps[T], bufs [][]T) error {
 		st.deferred[i] = st.scatLeft[i] > 0
 		ops.recv[i].Start(e.bufs, 0, st.deferred[i])
 		st.recvPosted[i] = true
-		e.logRound(p.deps[i].phase, p.deps[i].idx, r.recvFrom, trace.RoundRecvPost)
+		logRound(e.rlog, p.deps[i].phase, p.deps[i].idx, r.recvFrom, trace.RoundRecvPost)
 		p.countRecvPost()
 		if m := p.cmet; m != nil {
 			st.postNs[i] = time.Now().UnixNano()
@@ -493,18 +493,11 @@ func (e *pipeExec[T]) abortDrain(attributed error) error {
 	return attributed
 }
 
-// logRound emits one executor event when a round log is attached.
-func (p *Plan) logRound(phase, round, peer int, kind trace.RoundKind) {
-	if p.rlog != nil {
-		p.rlog.Add(phase, round, peer, kind)
-	}
-}
-
-// logRound forwards to the plan's round log unless the execution is quiet
-// (async executions: the RoundLog is single-goroutine).
-func (e *pipeExec[T]) logRound(phase, round, peer int, kind trace.RoundKind) {
-	if !e.quiet {
-		e.p.logRound(phase, round, peer, kind)
+// logRound emits one executor event to l when a round log is attached.
+// Both executors log through it; async executions pass a nil log.
+func logRound(l *trace.RoundLog, phase, round, peer int, kind trace.RoundKind) {
+	if l != nil {
+		l.Add(phase, round, peer, kind)
 	}
 }
 

@@ -6,8 +6,9 @@ import (
 )
 
 // The compiled-plan cache. Compiling a plan is O(t·d) symbolic work plus
-// DAG construction — thousands of allocations for a dense stencil
-// (BENCH_P2) — yet the result is a pure function of (grid shape,
+// DAG construction — thousands of allocations for a dense stencil (the
+// benchmark's cart.init.cold_us against cart.init.warm_us prices it) —
+// yet the result is a pure function of (grid shape,
 // neighborhood, op, algorithm, block geometry, rank, epoch): nothing in
 // the compiled phases, copies, or dependency DAG refers to a particular
 // communicator or world. A service that creates the same topology over

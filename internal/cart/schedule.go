@@ -653,7 +653,7 @@ func runRounds[T any](p *Plan, ops *roundOps[T], bufs [][]T) error {
 				continue
 			}
 			ops.recv[base+ri].Start(bufs, 0, p.deferScatter[pi])
-			p.logRound(pi, ri, r.recvFrom, trace.RoundRecvPost)
+			logRound(p.rlog, pi, ri, r.recvFrom, trace.RoundRecvPost)
 			p.countRecvPost()
 		}
 		var sendErr error
@@ -665,7 +665,7 @@ func runRounds[T any](p *Plan, ops *roundOps[T], bufs [][]T) error {
 			if err := ops.send[base+ri].Start(bufs, 0); err != nil && sendErr == nil {
 				sendErr = p.phaseError(pi, ri, r.sendWhat, err)
 			}
-			p.logRound(pi, ri, r.sendTo, trace.RoundSendPost)
+			logRound(p.rlog, pi, ri, r.sendTo, trace.RoundSendPost)
 			p.countSend(r)
 		}
 		// Drain the phase. After the first failure the remaining unmatched

@@ -185,6 +185,51 @@ func TestAutoUsesInstalledMachineProfile(t *testing.T) {
 	}
 }
 
+// TestAutoWithinGateOfBestFixed is the self-tuning gate: executed on the
+// hydra model's virtual clock, Auto must come within 1.05x of the faster
+// fixed algorithm at every point of the sweep — it may tie the winner,
+// never lose the trade. The sweep runs both op families on the 2-d and 3-d
+// Moore stencils with int32 blocks from 4 B to 256 KiB, straddling the
+// predicted alltoall crossovers (38 125 B at d=2, 22 545 B at d=3), where
+// a selector stuck on one family loses by 1.15x to 1.9x. Run with -v to
+// print the table.
+//
+// The 256 KiB points hold about half a gigabyte of buffers across the 27
+// ranks, which the race detector's shadow memory multiplies past what a CI
+// runner can spare; the schedule executions it would check run under -race
+// in every other test, so the sweep runs only in plain builds (CI runs it
+// in its non-race gate step).
+func TestAutoWithinGateOfBestFixed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("half a gigabyte of buffers at 256 KiB blocks in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("half a gigabyte of buffers at 256 KiB blocks; the race detector multiplies it")
+	}
+	const gate, iters = 1.05, 2
+	t.Logf("%-10s %2s %9s %12s %12s %12s  %-10s %9s", "op", "d", "m(elems)", "trivial", "combining", "auto", "picked", "auto/best")
+	for _, dims := range [][]int{{4, 4}, {3, 3, 3}} {
+		d := len(dims)
+		nbh, err := vec.Stencil(d, 3, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range []OpKind{OpAlltoall, OpAllgather} {
+			for _, m := range []int{1, 256, 4096, 16384, 65536} {
+				triv, _ := modelNsPerOp(t, dims, nbh, op, m, iters, nil, Trivial)
+				comb, _ := modelNsPerOp(t, dims, nbh, op, m, iters, nil, Combining)
+				auto, picked := modelNsPerOp(t, dims, nbh, op, m, iters, nil, Auto)
+				ratio := auto / math.Min(triv, comb)
+				t.Logf("%-10v %2d %9d %12.0f %12.0f %12.0f  %-10v %9.3f", op, d, m, triv, comb, auto, picked, ratio)
+				if ratio > gate {
+					t.Errorf("%v d=%d m=%d: Auto picked %v at %.0f ns/op, %.3fx the best fixed algorithm (gate %.2fx)",
+						op, d, m, picked, auto, ratio, gate)
+				}
+			}
+		}
+	}
+}
+
 // TestAutoDecisionMemoized: repeated Runs at one element size decide
 // once; the memo is per-element-size, so a different element width
 // re-decides.
