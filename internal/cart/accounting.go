@@ -181,7 +181,7 @@ type cartMetrics struct {
 //	cart.blocks.fwd          counter   schedule blocks forwarded (observed volume)
 //	cart.prepost.hwm         gauge     pipelined receive pre-post window high-water
 //	cart.retire.ns           histogram wall-clock ns from receive post to retire
-//	cart.plancache.hit       counter   shared-plan-cache hits on *Init
+//	cart.plancache.hit       counter   shared-plan-cache hits on *Init (incl. waits on a concurrent compile)
 //	cart.plancache.miss      counter   shared-plan-cache misses (compiles)
 //	cart.plancache.evict     counter   LRU evictions this rank triggered
 //	cart.plancache.bytes     gauge     estimated cache footprint after this rank's inserts

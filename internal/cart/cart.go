@@ -225,7 +225,7 @@ func NeighborhoodCreate(base *mpi.Comm, dims []int, periods []bool, neighborhood
 		} else {
 			c.targets[i] = ProcNull
 		}
-		if r, ok := grid.RankDisplace(comm.Rank(), rel.Neg()); ok {
+		if r, ok := grid.RankDisplaceNeg(comm.Rank(), rel); ok {
 			c.sources[i] = r
 		} else {
 			c.sources[i] = ProcNull
@@ -344,7 +344,7 @@ func (c *Comm) RelativeShift(relative vec.Vec) (inRank, outRank int, err error) 
 		outRank = r
 	}
 	inRank = ProcNull
-	if r, ok := c.grid.RankDisplace(c.comm.Rank(), relative.Neg()); ok {
+	if r, ok := c.grid.RankDisplaceNeg(c.comm.Rank(), relative); ok {
 		inRank = r
 	}
 	return inRank, outRank, nil

@@ -400,7 +400,7 @@ func (e *asyncExec[T]) leafTail() error {
 			return fmt.Errorf("cart: internal: leaf round %d still scatter-gated after DAG drain", i)
 		}
 		if _, err := e.ops.req(i).Wait(); err != nil {
-			return p.phaseError(p.deps[i].phase, p.deps[i].idx, p.flat[i].recvWhat, err)
+			return p.phaseError(p.deps[i].phase, p.deps[i].idx, "recv from", p.flat[i].recvFrom, err)
 		}
 		st.retired[i] = true
 		e.remRecv--

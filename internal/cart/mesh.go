@@ -42,7 +42,7 @@ func prefixBefore(rel vec.Vec, k int) vec.Vec {
 // validity included) is held by process r at the start of phase k on the
 // given mesh: the origin exists and its target exists.
 func meshBlockAt(g *vec.Grid, r int, rel vec.Vec, k int) bool {
-	o, ok := g.RankDisplace(r, prefixBefore(rel, k).Neg())
+	o, ok := g.RankDisplaceNeg(r, prefixBefore(rel, k))
 	if !ok {
 		return false
 	}
@@ -227,7 +227,7 @@ func (c *Comm) compileMesh(geom BlockGeometry) (*Plan, error) {
 					}
 				}
 			}
-			if src, ok := c.grid.RankDisplace(rank, rel.Neg()); ok {
+			if src, ok := c.grid.RankDisplaceNeg(rank, rel); ok {
 				recvMoves := meshRecvMoves(c.grid, src, c.nbh, k, coord)
 				if len(recvMoves) > 0 {
 					er.recvFrom = src
@@ -243,7 +243,6 @@ func (c *Comm) compileMesh(geom BlockGeometry) (*Plan, error) {
 				}
 			}
 			if er.sendTo != ProcNull || er.recvFrom != ProcNull {
-				setRoundWhat(&er)
 				rounds = append(rounds, er)
 			}
 		}

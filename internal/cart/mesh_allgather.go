@@ -70,7 +70,7 @@ func newMeshTreeInfo(g *vec.Grid, nbh vec.Neighborhood) *meshTreeInfo {
 // activeAt reports whether process r holds subtree s: the origin exists
 // and some member's target does. It also returns the origin's rank.
 func (mi *meshTreeInfo) activeAt(r int, s *TreeNode) (origin int, ok bool) {
-	o, ok := mi.grid.RankDisplace(r, mi.prefix[s].Neg())
+	o, ok := mi.grid.RankDisplaceNeg(r, mi.prefix[s])
 	if !ok {
 		return -1, false
 	}
@@ -151,7 +151,6 @@ func (c *Comm) compileMeshAllgather(geom BlockGeometry) (*Plan, error) {
 				if cur.recv.Size() == 0 {
 					cur.recvFrom = ProcNull
 				}
-				setRoundWhat(cur)
 				rounds = append(rounds, *cur)
 				p.rounds++
 			}
@@ -167,7 +166,7 @@ func (c *Comm) compileMeshAllgather(geom BlockGeometry) (*Plan, error) {
 				if dst, ok := c.grid.RankDisplace(rank, rel); ok {
 					er.sendTo = dst
 				}
-				if src, ok := c.grid.RankDisplace(rank, rel.Neg()); ok {
+				if src, ok := c.grid.RankDisplaceNeg(rank, rel); ok {
 					er.recvFrom = src
 				}
 				cur = &er
@@ -220,7 +219,7 @@ func (c *Comm) compileMeshAllgather(geom BlockGeometry) (*Plan, error) {
 	// its last non-zero level (the root for the zero offset); copy from
 	// that node's staging unless it already landed in place.
 	for i := range c.nbh {
-		if _, ok := c.grid.RankDisplace(rank, c.nbh[i].Neg()); !ok {
+		if _, ok := c.grid.RankDisplaceNeg(rank, c.nbh[i]); !ok {
 			continue // no source: the receive block stays untouched
 		}
 		target := mi.restingNodeOf(i)

@@ -114,7 +114,7 @@ func meshCombiningReducePlan(c *Comm, m int) *ReducePlan {
 				if dst, ok := c.grid.RankDisplace(rank, rel); ok {
 					r.sendTo = dst
 				}
-				if src, ok := c.grid.RankDisplace(rank, rel.Neg()); ok {
+				if src, ok := c.grid.RankDisplaceNeg(rank, rel); ok {
 					r.recvFrom = src
 				}
 				cur = &r
@@ -142,7 +142,7 @@ func meshCombiningReducePlan(c *Comm, m int) *ReducePlan {
 // hasAnySource reports whether any member's source exists for dest.
 func hasAnySource(g *vec.Grid, dest int, nbh vec.Neighborhood, members []int) bool {
 	for _, m := range members {
-		if _, ok := g.RankDisplace(dest, nbh[m].Neg()); ok {
+		if _, ok := g.RankDisplaceNeg(dest, nbh[m]); ok {
 			return true
 		}
 	}

@@ -97,7 +97,8 @@ func (c *Comm) scheduleFor(op OpKind, algo Algorithm) (*Schedule, error) {
 // compiles both families and defers the choice to execution time, when the
 // element size is known (the executor-consistent cut-off of select.go).
 // Fingerprintable geometries go through the shared plan cache
-// (plancache.go): a hit binds the cached master instead of recompiling.
+// (plancache.go): a hit, or a wait on another rank's concurrent compile of
+// the same key, binds the master instead of recompiling.
 func (c *Comm) newPlan(op OpKind, algo Algorithm, geom BlockGeometry, avgBlockElems float64, opts ...PlanOption) (*Plan, error) {
 	var po planOptions
 	for _, o := range opts {
@@ -121,59 +122,81 @@ func (c *Comm) newPlan(op OpKind, algo Algorithm, geom BlockGeometry, avgBlockEl
 	// Execution-style plan options are per-instance executor settings,
 	// not compile inputs, so they stay out of the cache key; schedule
 	// transforms (mutation smoke) change the compile itself and bypass
-	// the cache, as do geometries the cache cannot fingerprint.
-	blocking := po.forceBlocking
-	if algo == Trivial {
-		blocking = true
-	}
-	cacheable := po.transform == nil && geom.sig.kind != geomNone
-	var key planCacheKey
-	if cacheable {
-		key = c.cacheKey(op, algo, geom.sig)
-		if master, ok := sharedPlanCache.get(key, c, geom.sig); ok {
-			p := master.bind(c, blocking)
-			p.avgBlockElems = avgBlockElems
-			po.apply(p)
-			return p, nil
+	// the cache, as do geometries the cache cannot fingerprint. Trivial
+	// plans always run blocking rounds.
+	var p *Plan
+	if po.transform == nil && geom.sig.kind != geomNone {
+		master, reused, fl, err := sharedPlanCache.lookup(c.cacheKey(op, algo, geom.sig), c, geom.sig)
+		switch {
+		case err != nil:
+			return nil, err
+		case master != nil:
+			p = master.bind(c, po.forceBlocking || algo == Trivial)
+			p.fromCache = reused
+		case fl != nil:
+			if p, err = c.compileAndLand(fl, op, algo, geom, po.forceBlocking); err != nil {
+				return nil, err
+			}
 		}
 	}
+	if p == nil {
+		var err error
+		if p, _, err = c.compilePlan(op, algo, geom, po.forceBlocking, po.transform); err != nil {
+			return nil, err
+		}
+	}
+	p.avgBlockElems = avgBlockElems
+	po.apply(p)
+	return p, nil
+}
 
-	var p *Plan
-	var err error
+// compileAndLand is the compiling side of a shared miss: it compiles the
+// plan, detaches its master and lands fl with it — deferred, so the ranks
+// waiting on fl are released with an error even if compilation panics.
+func (c *Comm) compileAndLand(fl *planFlight, op OpKind, algo Algorithm, geom BlockGeometry, forceBlocking bool) (p *Plan, err error) {
+	var master *Plan
+	defer func() { sharedPlanCache.land(fl, c, master, err) }()
+	p, sched, err := c.compilePlan(op, algo, geom, forceBlocking, nil)
+	if err == nil {
+		master = p.detach(sched)
+	}
+	return p, err
+}
+
+// compilePlan compiles (op, algo, geometry) for this communicator from
+// scratch, returning the symbolic schedule it compiled (nil for the mesh
+// combining plans, which are derived without one).
+func (c *Comm) compilePlan(op OpKind, algo Algorithm, geom BlockGeometry, forceBlocking bool, transform func(*Schedule)) (*Plan, *Schedule, error) {
 	if algo == Combining && !c.IsPeriodic() {
 		// The mesh-aware combining schedules (mesh.go,
 		// mesh_allgather.go): per-process plans derived locally,
 		// deadlock-free by the shared predicate.
+		var p *Plan
+		var err error
 		if op == OpAlltoall {
 			p, err = c.compileMesh(geom)
 		} else {
 			p, err = c.compileMeshAllgather(geom)
 		}
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		p.blocking = po.forceBlocking
-	} else {
-		var sched *Schedule
-		sched, err = c.scheduleFor(op, algo)
-		if err != nil {
-			return nil, err
-		}
-		if po.transform != nil {
-			sched = sched.Clone()
-			po.transform(sched)
-		}
-		p, err = c.compile(sched, geom, blocking)
-		if err != nil {
-			return nil, err
-		}
+		p.blocking = forceBlocking
+		return p, nil, nil
 	}
-	p.avgBlockElems = avgBlockElems
-	if cacheable {
-		sharedPlanCache.put(key, c, geom.sig, p.detach())
+	sched, err := c.scheduleFor(op, algo)
+	if err != nil {
+		return nil, nil, err
 	}
-	po.apply(p)
-	return p, nil
+	if transform != nil {
+		sched = sched.Clone()
+		transform(sched)
+	}
+	p, err := c.compile(sched, geom, forceBlocking || algo == Trivial)
+	if err != nil {
+		return nil, nil, err
+	}
+	return p, sched, nil
 }
 
 // regularPlan returns the cached plan for a regular operation with block

@@ -222,7 +222,7 @@ func runPipelined[T any](p *Plan, ops *roundOps[T], bufs [][]T) error {
 			return e.abortDrain(fmt.Errorf("cart: internal: leaf round %d still scatter-gated after DAG drain", i))
 		}
 		if _, err := ops.req(i).Wait(); err != nil {
-			return e.abortDrain(p.phaseError(p.deps[i].phase, p.deps[i].idx, p.flat[i].recvWhat, err))
+			return e.abortDrain(p.phaseError(p.deps[i].phase, p.deps[i].idx, "recv from", p.flat[i].recvFrom, err))
 		}
 		st.retired[i] = true
 		e.remRecv--
@@ -305,7 +305,7 @@ func (e *pipeExec[T]) postSend(i int32) error {
 	p, st := e.p, e.st
 	r := p.flat[i]
 	if err := e.ops.send[i].Start(e.bufs, e.tagOff); err != nil {
-		return p.phaseError(p.deps[i].phase, p.deps[i].idx, r.sendWhat, err)
+		return p.phaseError(p.deps[i].phase, p.deps[i].idx, "send to", r.sendTo, err)
 	}
 	st.sendPosted[i] = true
 	e.remSend--
@@ -344,7 +344,7 @@ func (e *pipeExec[T]) tryRetire(i int32) error {
 		return nil
 	}
 	if _, err := e.ops.req(int(i)).Wait(); err != nil {
-		return p.phaseError(p.deps[i].phase, p.deps[i].idx, p.flat[i].recvWhat, err)
+		return p.phaseError(p.deps[i].phase, p.deps[i].idx, "recv from", p.flat[i].recvFrom, err)
 	}
 	st.retired[i] = true
 	e.posted--
@@ -469,7 +469,7 @@ func (e *pipeExec[T]) attributeWaitErr(err error) error {
 	p, st := e.p, e.st
 	for i := range p.flat {
 		if st.recvPosted[i] && !st.retired[i] {
-			return p.phaseError(p.deps[i].phase, p.deps[i].idx, p.flat[i].recvWhat, err)
+			return p.phaseError(p.deps[i].phase, p.deps[i].idx, "recv from", p.flat[i].recvFrom, err)
 		}
 	}
 	return fmt.Errorf("cart: %s(%s): %w", p.op, p.algo, err)

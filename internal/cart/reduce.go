@@ -107,7 +107,7 @@ func trivialReducePlan(c *Comm, m int) *ReducePlan {
 		if dst, ok := c.grid.RankDisplace(rank, rel); ok {
 			r.sendTo = dst
 		}
-		if src, ok := c.grid.RankDisplace(rank, rel.Neg()); ok {
+		if src, ok := c.grid.RankDisplaceNeg(rank, rel); ok {
 			r.recvFrom = src
 		}
 		p.phases = append(p.phases, []reduceRound{r})
@@ -237,7 +237,7 @@ func buildReduceRounds(c *Comm, rank int, nodes []*TreeNode, slotOf map[*TreeNod
 			if dst, ok := c.grid.RankDisplace(rank, rel); ok {
 				r.sendTo = dst
 			}
-			if src, ok := c.grid.RankDisplace(rank, rel.Neg()); ok {
+			if src, ok := c.grid.RankDisplaceNeg(rank, rel); ok {
 				r.recvFrom = src
 			}
 			rounds = append(rounds, r)

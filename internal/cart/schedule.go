@@ -176,6 +176,25 @@ func (s *Schedule) Clone() *Schedule {
 	return &c
 }
 
+// flatRels packs the relative step of every round, phase-major — the flat
+// round order of a plan compiled from s — into one slice, d ints per
+// round. The result is non-nil even for a schedule without rounds.
+func (s *Schedule) flatRels() []int {
+	n := 0
+	for _, ph := range s.Phases {
+		for _, r := range ph.Rounds {
+			n += len(r.Rel)
+		}
+	}
+	rels := make([]int, 0, n)
+	for _, ph := range s.Phases {
+		for _, r := range ph.Rounds {
+			rels = append(rels, r.Rel...)
+		}
+	}
+	return rels
+}
+
 // Validate checks internal schedule invariants; it is used by the property
 // tests and when loading externally-constructed schedules.
 func (s *Schedule) Validate(t int) error {
@@ -279,35 +298,20 @@ func bufIndex(b BufKind) int {
 
 // execRound is one compiled communication round: concrete peer ranks and
 // the gathered send/recv composites over (send, recv, temp) buffers.
-// sendWhat/recvWhat are the failure-attribution strings, formatted once at
-// compile time so Run never calls fmt on the hot path.
 type execRound struct {
 	sendTo   int
 	recvFrom int
 	// tag is the round's message tag, shared by sender and receiver (see
 	// roundTag): distinct per (phase, global round slot) so the pipelined
 	// executor's out-of-phase traffic matches the right receives.
-	tag      int
-	send     datatype.Composite
-	recv     datatype.Composite
-	sendWhat string
-	recvWhat string
+	tag  int
+	send datatype.Composite
+	recv datatype.Composite
 	// blocks and sendElems are the round's forwarded volume in schedule
 	// blocks and in elements, counted at compile time (the composites merge
 	// adjacent extents, so Parts() cannot recover the block count).
 	blocks    int
 	sendElems int
-}
-
-// setRoundWhat formats the round's failure-attribution strings once at
-// compile time, so the executors never call fmt on the hot path.
-func setRoundWhat(er *execRound) {
-	if er.sendTo != ProcNull {
-		er.sendWhat = fmt.Sprintf("send to rank %d", er.sendTo)
-	}
-	if er.recvFrom != ProcNull {
-		er.recvWhat = fmt.Sprintf("recv from rank %d", er.recvFrom)
-	}
 }
 
 // execCopy is a compiled local copy.
@@ -401,6 +405,10 @@ type Plan struct {
 	// fromCache marks a plan bound from a shared-plan-cache master
 	// (plancache.go) rather than freshly compiled.
 	fromCache bool
+	// rels is set on torus masters of the plan cache only: each flat
+	// round's relative step, d ints per round, which bind resolves to the
+	// binding rank's peers. Non-nil marks a rank-free master.
+	rels []int
 }
 
 // Rounds returns the number of communication rounds C of the plan.
@@ -469,7 +477,7 @@ func (c *Comm) compile(s *Schedule, geom BlockGeometry, blocking bool) (*Plan, e
 			if dst, ok := c.grid.RankDisplace(rank, r.Rel); ok {
 				er.sendTo = dst
 			}
-			if src, ok := c.grid.RankDisplace(rank, r.Rel.Neg()); ok {
+			if src, ok := c.grid.RankDisplaceNeg(rank, r.Rel); ok {
 				er.recvFrom = src
 			}
 			for _, mv := range r.Moves {
@@ -489,7 +497,6 @@ func (c *Comm) compile(s *Schedule, geom BlockGeometry, blocking bool) (*Plan, e
 				}
 			}
 			er.sendElems = er.send.Size()
-			setRoundWhat(&er)
 			rounds = append(rounds, er)
 		}
 		p.phases = append(p.phases, rounds)
@@ -663,7 +670,7 @@ func runRounds[T any](p *Plan, ops *roundOps[T], bufs [][]T) error {
 				continue
 			}
 			if err := ops.send[base+ri].Start(bufs, 0); err != nil && sendErr == nil {
-				sendErr = p.phaseError(pi, ri, r.sendWhat, err)
+				sendErr = p.phaseError(pi, ri, "send to", r.sendTo, err)
 			}
 			logRound(p.rlog, pi, ri, r.sendTo, trace.RoundSendPost)
 			p.countSend(r)
@@ -686,7 +693,7 @@ func runRounds[T any](p *Plan, ops *roundOps[T], bufs [][]T) error {
 			}
 			if _, err := req.Wait(); err != nil {
 				if firstErr == nil {
-					firstErr = p.phaseError(pi, ri, r.recvWhat, err)
+					firstErr = p.phaseError(pi, ri, "recv from", r.recvFrom, err)
 				}
 			} else {
 				p.countRetire()
@@ -731,12 +738,12 @@ func roundOpsFor[T any](p *Plan, cache *any) (*roundOps[T], error) {
 	for i, r := range p.flat {
 		if r.recvFrom != ProcNull {
 			if err := ops.recv[i].Bind(comm, &r.recv, r.recvFrom, r.tag); err != nil {
-				return nil, p.phaseError(p.deps[i].phase, p.deps[i].idx, r.recvWhat, err)
+				return nil, p.phaseError(p.deps[i].phase, p.deps[i].idx, "recv from", r.recvFrom, err)
 			}
 		}
 		if r.sendTo != ProcNull {
 			if err := ops.send[i].Bind(comm, &r.send, r.sendTo, r.tag); err != nil {
-				return nil, p.phaseError(p.deps[i].phase, p.deps[i].idx, r.sendWhat, err)
+				return nil, p.phaseError(p.deps[i].phase, p.deps[i].idx, "send to", r.sendTo, err)
 			}
 		}
 	}
@@ -745,11 +752,12 @@ func roundOpsFor[T any](p *Plan, cache *any) (*roundOps[T], error) {
 }
 
 // phaseError attributes a failed schedule operation to its phase, round,
-// and peer, so an injected fault or deadlock report points into the
-// schedule rather than at an anonymous request.
-func (p *Plan) phaseError(phase, round int, what string, err error) error {
-	return fmt.Errorf("cart: %s(%s): phase %d/%d round %d: %s: %w",
-		p.op, p.algo, phase+1, len(p.phases), round, what, err)
+// and peer — dir is "send to" or "recv from" — so an injected fault or
+// deadlock report points into the schedule rather than at an anonymous
+// request. The peer is formatted here, on the error path only.
+func (p *Plan) phaseError(phase, round int, dir string, peer int, err error) error {
+	return fmt.Errorf("cart: %s(%s): phase %d/%d round %d: %s rank %d: %w",
+		p.op, p.algo, phase+1, len(p.phases), round, dir, peer, err)
 }
 
 // roundError is phaseError for the trivial blocking executor, where a

@@ -83,6 +83,6 @@ func (c *Comm) CartShift(dim, disp int) (src, dst int, srcOK, dstOK bool, err er
 	rel := make(vec.Vec, g.NDims())
 	rel[dim] = disp
 	dst, dstOK = g.RankDisplace(c.rank, rel)
-	src, srcOK = g.RankDisplace(c.rank, rel.Neg())
+	src, srcOK = g.RankDisplaceNeg(c.rank, rel)
 	return src, dst, srcOK, dstOK, nil
 }

@@ -8,11 +8,21 @@ import "fmt"
 // blocks in the collective operations are stored in neighbor order.
 type Neighborhood []Vec
 
-// Clone returns a deep copy of the neighborhood.
+// Clone returns a deep copy of the neighborhood. The copied offsets share
+// one backing array (two allocations, not t+1); each is capped at its own
+// length, so appending to one never writes into the next.
 func (n Neighborhood) Clone() Neighborhood {
+	size := 0
+	for _, v := range n {
+		size += len(v)
+	}
 	m := make(Neighborhood, len(n))
+	backing := make([]int, size)
 	for i, v := range n {
-		m[i] = v.Clone()
+		w := backing[:len(v):len(v)]
+		copy(w, v)
+		m[i] = w
+		backing = backing[len(v):]
 	}
 	return m
 }
@@ -106,27 +116,28 @@ func Stencil(d, n, f int) (Neighborhood, error) {
 	for i := 0; i < d; i++ {
 		t *= n
 	}
-	ns := make(Neighborhood, 0, t)
-	cur := make(Vec, d)
+	// All t offsets live in one backing array, each capped at d.
+	ns := make(Neighborhood, t)
+	backing := make([]int, t*d)
+	cur := backing[:d:d]
 	for i := range cur {
 		cur[i] = f
 	}
-	for {
-		ns = append(ns, cur.Clone())
+	for i := 1; i < t; i++ {
+		ns[i-1] = cur
+		next := backing[i*d : (i+1)*d : (i+1)*d]
+		copy(next, cur)
 		// Row-major increment with carry, last coordinate fastest.
-		k := d - 1
-		for k >= 0 {
-			cur[k]++
-			if cur[k] < f+n {
+		for k := d - 1; k >= 0; k-- {
+			next[k]++
+			if next[k] < f+n {
 				break
 			}
-			cur[k] = f
-			k--
+			next[k] = f
 		}
-		if k < 0 {
-			break
-		}
+		cur = next
 	}
+	ns[t-1] = cur
 	return ns, nil
 }
 

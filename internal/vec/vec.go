@@ -233,17 +233,35 @@ func (g *Grid) Displace(c, rel Vec) (dst Vec, ok bool) {
 	return dst, true
 }
 
-// RankDisplace composes CoordOf, Displace and RankOf: the rank reached from
-// rank by relative offset rel, with ok == false if the displacement falls
-// off a non-periodic mesh.
+// RankDisplace is CoordOf, Displace and RankOf composed: the rank reached
+// from rank by relative offset rel, with ok == false if the displacement
+// falls off a non-periodic mesh. It works digit by digit and allocates
+// nothing.
 func (g *Grid) RankDisplace(rank int, rel Vec) (int, bool) {
-	dst, ok := g.Displace(g.CoordOf(rank), rel)
-	if !ok {
-		return -1, false
-	}
-	r, err := g.RankOf(dst)
-	if err != nil {
-		return -1, false
+	return g.rankDisplace(rank, rel, 1)
+}
+
+// RankDisplaceNeg is RankDisplace by −rel: the rank that reaches rank by
+// offset rel (the source of a target offset), without building rel.Neg().
+func (g *Grid) RankDisplaceNeg(rank int, rel Vec) (int, bool) {
+	return g.rankDisplace(rank, rel, -1)
+}
+
+// rankDisplace displaces rank by sign·rel one mixed-radix digit at a time,
+// last dimension first.
+func (g *Grid) rankDisplace(rank int, rel Vec, sign int) (int, bool) {
+	r, stride := 0, 1
+	for i := len(g.Dims) - 1; i >= 0; i-- {
+		n := g.Dims[i]
+		x := rank%n + sign*rel[i]
+		rank /= n
+		if g.Periods[i] {
+			x = mod(x, n)
+		} else if x < 0 || x >= n {
+			return -1, false
+		}
+		r += x * stride
+		stride *= n
 	}
 	return r, true
 }

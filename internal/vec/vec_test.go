@@ -158,6 +158,105 @@ func TestRankDisplace(t *testing.T) {
 	}
 }
 
+// composedRankDisplace is the reference form of RankDisplace: CoordOf,
+// then Displace, then RankOf, allocating two vectors on the way.
+func composedRankDisplace(g *Grid, rank int, rel Vec) (int, bool) {
+	dst, ok := g.Displace(g.CoordOf(rank), rel)
+	if !ok {
+		return -1, false
+	}
+	r, err := g.RankOf(dst)
+	if err != nil {
+		return -1, false
+	}
+	return r, true
+}
+
+// TestRankDisplaceMatchesComposition: the digit-by-digit RankDisplace and
+// RankDisplaceNeg agree with the vector composition on random grids of
+// 1–4 dimensions — tori, meshes and mixed — for every rank, with offsets
+// that wrap several times around an extent, fall off a mesh on either
+// side, or are zero.
+func TestRankDisplaceMatchesComposition(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 300; trial++ {
+		d := 1 + rng.Intn(4)
+		dims := make([]int, d)
+		periods := make([]bool, d)
+		for i := range dims {
+			dims[i] = 1 + rng.Intn(5)
+			periods[i] = rng.Intn(3) > 0
+		}
+		g, err := NewGrid(dims, periods)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rank := 0; rank < g.Size(); rank++ {
+			rel := make(Vec, d)
+			if rng.Intn(6) > 0 {
+				for i := range rel {
+					rel[i] = rng.Intn(4*dims[i]+1) - 2*dims[i]
+				}
+			}
+			gotR, gotOK := g.RankDisplace(rank, rel)
+			wantR, wantOK := composedRankDisplace(g, rank, rel)
+			if gotR != wantR || gotOK != wantOK {
+				t.Fatalf("grid %v periods %v: RankDisplace(%d, %v) = %d, %v; composition gives %d, %v",
+					dims, periods, rank, rel, gotR, gotOK, wantR, wantOK)
+			}
+			gotR, gotOK = g.RankDisplaceNeg(rank, rel)
+			wantR, wantOK = composedRankDisplace(g, rank, rel.Neg())
+			if gotR != wantR || gotOK != wantOK {
+				t.Fatalf("grid %v periods %v: RankDisplaceNeg(%d, %v) = %d, %v; composition gives %d, %v",
+					dims, periods, rank, rel, gotR, gotOK, wantR, wantOK)
+			}
+		}
+	}
+}
+
+// TestRankDisplaceAllocationFree: both displacement forms allocate
+// nothing, on a torus and off the edge of a mesh.
+func TestRankDisplaceAllocationFree(t *testing.T) {
+	torus, _ := NewGrid([]int{3, 4, 5}, nil)
+	mesh, _ := NewGrid([]int{3, 4, 5}, []bool{false, true, false})
+	rel := Vec{-4, 9, 1}
+	allocs := testing.AllocsPerRun(100, func() {
+		torus.RankDisplace(17, rel)
+		torus.RankDisplaceNeg(17, rel)
+		mesh.RankDisplace(17, rel)
+		mesh.RankDisplaceNeg(59, Vec{0, 1, 0})
+	})
+	if allocs != 0 {
+		t.Errorf("RankDisplace allocates: %.1f allocs/op", allocs)
+	}
+}
+
+// TestNeighborhoodOneBackingArray: Stencil and Clone hold their t offsets
+// in one backing array (two allocations whatever t is), yet each offset
+// stays independent — capped at its length, so an append reallocates
+// instead of overwriting the next offset.
+func TestNeighborhoodOneBackingArray(t *testing.T) {
+	moore, _ := Moore(3, 1)
+	if a := testing.AllocsPerRun(20, func() { _, _ = Moore(3, 1) }); a != 2 {
+		t.Errorf("Moore(3, 1) makes %.0f allocations, want 2", a)
+	}
+	if a := testing.AllocsPerRun(20, func() { _ = moore.Clone() }); a != 2 {
+		t.Errorf("Clone of 27 offsets makes %.0f allocations, want 2", a)
+	}
+	c := moore.Clone()
+	if !c.Equal(moore) {
+		t.Fatalf("clone differs: %v vs %v", c, moore)
+	}
+	grown := append(c[0], 42)
+	if !c[1].Equal(moore[1]) || grown[3] != 42 {
+		t.Errorf("append to offset 0 wrote into offset 1: %v", c[1])
+	}
+	c[2][0] = 99
+	if moore[2][0] == 99 || !c[3].Equal(moore[3]) {
+		t.Errorf("clone aliases the original or a neighbor offset")
+	}
+}
+
 // The shift identity underlying deadlock freedom (Section 3 of the paper):
 // if process R sends to R+N[i], then R is the source of its own target's
 // i-th receive: (R + N[i]) - N[i] = R.
