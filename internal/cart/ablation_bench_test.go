@@ -236,7 +236,7 @@ func BenchmarkPlanCompilation(b *testing.B) {
 		sched := AlltoallSchedule(nbh)
 		geom := uniformGeometry(OpAlltoall, 10)
 		for i := 0; i < b.N; i++ {
-			if _, err := c.compile(sched, geom, false); err != nil {
+			if _, err := c.compile(sched, geom); err != nil {
 				return err
 			}
 		}

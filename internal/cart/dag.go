@@ -7,7 +7,7 @@ import (
 )
 
 // Block-level dependency DAG over the rounds of a compiled plan — the
-// structure behind the pipelined executor (pipeline.go). The barriered
+// structure every execution policy runs on (pipeline.go). The barriered
 // executor orders rounds by the coarsest possible relation: every round of
 // phase k happens-before every round of phase k+1. Most of those orderings
 // are incidental; the data only requires that each round's send wait for
@@ -86,8 +86,7 @@ func roundTag(phase, slot, t int) int {
 // round sum, so the executor can keep the whole live frontier pre-posted).
 // Hazard pairs are found by a bounding-interval sweep (hazardCandidates)
 // and confirmed on sorted coalesced extents, so cost scales with the
-// candidate count, not the square of the round count — compile-time only,
-// like phaseConflicts.
+// candidate count, not the square of the round count — compile-time only.
 func buildDAG(p *Plan) {
 	total := 0
 	for _, rounds := range p.phases {
@@ -151,9 +150,7 @@ func buildDAG(p *Plan) {
 			p.deps[y].wawSucc = append(p.deps[y].wawSucc, int32(x))
 		}
 	}
-	if p.window <= 0 {
-		p.window = defaultWindow(p)
-	}
+	p.window = defaultWindow(p)
 }
 
 // defaultWindow sizes the receive pre-post window to cover the largest

@@ -279,8 +279,8 @@ func (p *Plan) asyncTagFits() bool {
 	return fits
 }
 
-// asyncExec is one committed execution: the pipelined executor's state
-// machine (pipeline.go), begun inline on the committing caller and driven
+// asyncExec is one committed execution: the executor core's step machine
+// (pipeline.go), begun inline on the committing caller and driven
 // from there on by engine completion events instead of a blocking
 // Waitsome loop.
 type asyncExec[T any] struct {
@@ -315,9 +315,6 @@ func (e *asyncExec[T]) slotID() int { return e.slot }
 // a driver, so it owns the state exclusively; register's lock handoff
 // publishes it.
 func (e *asyncExec[T]) begin() error {
-	e.st.reset(e.p)
-	e.posted, e.nextPost = 0, 0
-	e.remRecv, e.remLive, e.remSend = e.st.nRecvs, e.st.nLive, e.st.nSends
 	if e.st.nLive == e.st.nRecvs {
 		// No leaf rounds: nothing to coalesce.
 		e.leafGate, e.leavesDone, e.biasDropped = nil, true, true
@@ -326,16 +323,11 @@ func (e *asyncExec[T]) begin() error {
 		e.leafGate = &e.gate
 		e.leavesDone, e.biasDropped = false, false
 	}
-	if err := e.fillWindow(); err != nil {
+	if err := e.pipeExec.begin(); err != nil {
 		return err
 	}
 	e.maybeDropBias()
-	for i := range e.p.flat {
-		if e.p.flat[i].sendTo != ProcNull && e.st.sendLeft[i] == 0 {
-			e.st.stack = append(e.st.stack, int32(i))
-		}
-	}
-	return e.drainSends()
+	return nil
 }
 
 // maybeDropBias releases the attach-time gate bias once every round has
@@ -358,16 +350,15 @@ func (e *asyncExec[T]) onArrived(i int) error {
 		e.leavesDone = true
 		return nil
 	}
-	e.st.arrived[i] = true
-	return e.tryRetire(int32(i))
+	return e.pipeExec.onArrived(i)
 }
 
 func (e *asyncExec[T]) advance() error {
-	if err := e.fillWindow(); err != nil {
+	if err := e.pipeExec.advance(); err != nil {
 		return err
 	}
 	e.maybeDropBias()
-	return e.drainSends()
+	return nil
 }
 
 func (e *asyncExec[T]) done() bool {
@@ -384,32 +375,6 @@ func (e *asyncExec[T]) finish() {
 	}
 	e.p.countRun()
 	e.settle(nil)
-}
-
-// leafTail retires the coalesced leaf receives in flat (phase-major)
-// order, preserving WAW order among deferred leaf scatters — the
-// synchronous executor's bulk tail. Every leaf has completed (the gate
-// reached zero), so no Wait blocks beyond an in-flight ready handoff.
-func (e *asyncExec[T]) leafTail() error {
-	p, st := e.p, e.st
-	for i := range p.flat {
-		if !st.recvPosted[i] || st.retired[i] {
-			continue
-		}
-		if st.scatLeft[i] > 0 {
-			return fmt.Errorf("cart: internal: leaf round %d still scatter-gated after DAG drain", i)
-		}
-		if _, err := e.ops.req(i).Wait(); err != nil {
-			return p.phaseError(p.deps[i].phase, p.deps[i].idx, "recv from", p.flat[i].recvFrom, err)
-		}
-		st.retired[i] = true
-		e.remRecv--
-		p.countRetire()
-	}
-	if e.remRecv > 0 {
-		return fmt.Errorf("cart: internal: async executor finished with %d receive(s) unposted", e.remRecv)
-	}
-	return nil
 }
 
 func (e *asyncExec[T]) fail(err error, fromWaitSet bool) {
@@ -524,6 +489,7 @@ func Start[T any](p *Plan, send, recv []T) (*Future, error) {
 	ex.bufs[0], ex.bufs[1], ex.bufs[2] = send, recv, temp
 	ex.ws = nil
 	ex.sink = w.sink
+	ex.timed = p.cmet != nil
 	ex.tagOff = asyncTagBase + seq*asyncTagSpan - tagBase
 	slot := w.commitSlot()
 	ex.slot = slot

@@ -247,7 +247,6 @@ func (c *Comm) compileMesh(geom BlockGeometry) (*Plan, error) {
 			}
 		}
 		p.phases = append(p.phases, rounds)
-		p.deferScatter = append(p.deferScatter, phaseConflicts(rounds))
 	}
 	for _, cp := range sched.Copies {
 		p.copies = append(p.copies, execCopy{

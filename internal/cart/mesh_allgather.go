@@ -211,7 +211,6 @@ func (c *Comm) compileMeshAllgather(geom BlockGeometry) (*Plan, error) {
 		}
 		flush()
 		p.phases = append(p.phases, rounds)
-		p.deferScatter = append(p.deferScatter, phaseConflicts(rounds))
 		frontier = next
 	}
 

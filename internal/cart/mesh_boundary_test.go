@@ -11,8 +11,9 @@ import (
 
 // TestMeshBoundaryAgainstTrivialOracle is the table-driven boundary check
 // for non-periodic meshes: on every rank — corners and edges with
-// truncated neighborhoods included — the mesh-aware combining plans and
-// the trivial plans must leave byte-identical receive buffers. Both
+// truncated neighborhoods included — the mesh-aware combining plans, run
+// pipelined, barriered and as blocking rounds, and the trivial plans must
+// leave byte-identical receive buffers. Both
 // receive buffers start at the -1 sentinel, so the comparison also pins
 // down *which* blocks each algorithm leaves untouched (those whose source
 // lies off the grid), not just the delivered payloads.
@@ -47,10 +48,14 @@ func TestMeshBoundaryAgainstTrivialOracle(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				if err := compareMeshToTrivial(c, w, nbh, tc.m, OpAllgather); err != nil {
-					return err
+				for _, opts := range [][]PlanOption{nil, {WithBarrieredPhases()}, {WithBlockingRounds()}} {
+					for _, op := range []OpKind{OpAllgather, OpAlltoall} {
+						if err := compareMeshToTrivial(c, w, nbh, tc.m, op, opts...); err != nil {
+							return err
+						}
+					}
 				}
-				return compareMeshToTrivial(c, w, nbh, tc.m, OpAlltoall)
+				return nil
 			})
 			// The cases are chosen so truncation actually happens: an
 			// all-interior grid would make the comparison vacuous.
@@ -74,12 +79,12 @@ func TestMeshBoundaryAgainstTrivialOracle(t *testing.T) {
 	}
 }
 
-// compareMeshToTrivial runs the mesh-aware combining plan and the trivial
-// plan for one operation in the same world and demands identical receive
-// buffers, sentinel blocks included. On ranks with truncated neighborhoods
-// it additionally checks that exactly the off-grid sources stayed at the
-// sentinel.
-func compareMeshToTrivial(c *Comm, w *mpi.Comm, nbh vec.Neighborhood, m int, op OpKind) error {
+// compareMeshToTrivial runs the mesh-aware combining plan, compiled with
+// opts, and the trivial plan for one operation in the same world and
+// demands identical receive buffers, sentinel blocks included. On ranks
+// with truncated neighborhoods it additionally checks that exactly the
+// off-grid sources stayed at the sentinel.
+func compareMeshToTrivial(c *Comm, w *mpi.Comm, nbh vec.Neighborhood, m int, op OpKind, opts ...PlanOption) error {
 	tn := len(nbh)
 	var send []int
 	if op == OpAllgather {
@@ -98,14 +103,14 @@ func compareMeshToTrivial(c *Comm, w *mpi.Comm, nbh vec.Neighborhood, m int, op 
 	var mesh, triv *Plan
 	var err error
 	if op == OpAllgather {
-		if mesh, err = MeshAllgatherInit(c, m); err != nil {
+		if mesh, err = AllgatherInit(c, m, Combining, opts...); err != nil {
 			return err
 		}
 		if triv, err = AllgatherInit(c, m, Trivial); err != nil {
 			return err
 		}
 	} else {
-		if mesh, err = MeshAlltoallInit(c, m); err != nil {
+		if mesh, err = AlltoallInit(c, m, Combining, opts...); err != nil {
 			return err
 		}
 		if triv, err = AlltoallInit(c, m, Trivial); err != nil {
@@ -127,7 +132,7 @@ func compareMeshToTrivial(c *Comm, w *mpi.Comm, nbh vec.Neighborhood, m int, op 
 		return err
 	}
 	if !reflect.DeepEqual(got, want) {
-		return fmt.Errorf("rank %d %v: mesh=%v trivial=%v", w.Rank(), op, got, want)
+		return fmt.Errorf("rank %d %v (fence %d): mesh=%v trivial=%v", w.Rank(), op, mesh.fence, got, want)
 	}
 	for i, rel := range nbh {
 		_, onGrid := c.Grid().RankDisplace(w.Rank(), rel.Neg())

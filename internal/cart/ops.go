@@ -10,42 +10,31 @@ import (
 type PlanOption func(*planOptions)
 
 type planOptions struct {
-	forceBlocking bool
-	barriered     bool
-	window        int
-	transform     func(*Schedule)
+	blocking  bool
+	barriered bool
+	transform func(*Schedule)
 }
 
 // WithBlockingRounds compiles the plan to execute every round as a
 // sequential blocking exchange instead of phase-concurrent nonblocking
 // rounds. The trivial schedules use this by default (Listing 4 of the
 // paper); applying it to a combining schedule is the execution-style
-// ablation of DESIGN.md.
+// ablation of DESIGN.md. Like WithBarrieredPhases it applies to Run only:
+// Start always executes pipelined.
 func WithBlockingRounds() PlanOption {
-	return func(o *planOptions) { o.forceBlocking = true }
+	return func(o *planOptions) { o.blocking = true }
 }
 
-// WithBarrieredPhases compiles the plan to execute with the classic
-// phase-by-phase Waitall barrier instead of the dependency-DAG pipelined
-// executor — the executor ablation of DESIGN.md §9 and the baseline of
-// the pipelining benchmarks. (Runs under a virtual-time cost model use
-// this executor regardless, to keep clock accounting deterministic.)
+// WithBarrieredPhases compiles the plan to execute one phase at a time —
+// every receive and send of a phase posted, then all of its receives
+// waited, before the next phase posts anything — instead of pipelining
+// rounds across phases: the classic per-phase Waitall, the executor
+// ablation of DESIGN.md §9 and the baseline of the pipelining benchmarks.
+// The order holds under a virtual-time cost model too, so the model prices
+// the barrier. It applies to Run only: Start always executes pipelined.
+// WithBlockingRounds takes precedence.
 func WithBarrieredPhases() PlanOption {
 	return func(o *planOptions) { o.barriered = true }
-}
-
-// WithPrepostWindow bounds how many receives the pipelined executor keeps
-// posted ahead of retirement (default: the largest adjacent-phase round
-// sum, at least 4). Larger windows let early messages hit the match-time
-// single-copy path at the price of more posted receives; the window never
-// affects correctness — an unmatched early message waits in the
-// unexpected queue.
-func WithPrepostWindow(w int) PlanOption {
-	return func(o *planOptions) {
-		if w > 0 {
-			o.window = w
-		}
-	}
 }
 
 // WithScheduleTransform applies f to a deep clone of the symbolic schedule
@@ -60,12 +49,16 @@ func WithScheduleTransform(f func(*Schedule)) PlanOption {
 	return func(o *planOptions) { o.transform = f }
 }
 
-// apply copies the execution-style options onto a compiled plan.
-func (po *planOptions) apply(p *Plan) {
-	p.barriered = po.barriered
-	if po.window > 0 {
-		p.window = po.window
+// fence returns the posting policy the options select for a plan of the
+// concrete algorithm algo: trivial plans always run blocking rounds.
+func (po *planOptions) fence(algo Algorithm) fence {
+	switch {
+	case po.blocking || algo == Trivial:
+		return fenceRound
+	case po.barriered:
+		return fencePhase
 	}
+	return fenceNone
 }
 
 // scheduleFor returns the symbolic schedule for (op, algo), cached on the
@@ -119,11 +112,10 @@ func (c *Comm) newPlan(op OpKind, algo Algorithm, geom BlockGeometry, avgBlockEl
 		return main, nil
 	}
 
-	// Execution-style plan options are per-instance executor settings,
-	// not compile inputs, so they stay out of the cache key; schedule
-	// transforms (mutation smoke) change the compile itself and bypass
-	// the cache, as do geometries the cache cannot fingerprint. Trivial
-	// plans always run blocking rounds.
+	// Execution-style plan options select the instance's fence, not a
+	// compilation, so they stay out of the cache key; schedule transforms
+	// (mutation smoke) change the compile itself and bypass the cache, as
+	// do geometries the cache cannot fingerprint.
 	var p *Plan
 	if po.transform == nil && geom.sig.kind != geomNone {
 		master, reused, fl, err := sharedPlanCache.lookup(c.cacheKey(op, algo, geom.sig), c, geom.sig)
@@ -131,32 +123,32 @@ func (c *Comm) newPlan(op OpKind, algo Algorithm, geom BlockGeometry, avgBlockEl
 		case err != nil:
 			return nil, err
 		case master != nil:
-			p = master.bind(c, po.forceBlocking || algo == Trivial)
+			p = master.bind(c)
 			p.fromCache = reused
 		case fl != nil:
-			if p, err = c.compileAndLand(fl, op, algo, geom, po.forceBlocking); err != nil {
+			if p, err = c.compileAndLand(fl, op, algo, geom); err != nil {
 				return nil, err
 			}
 		}
 	}
 	if p == nil {
 		var err error
-		if p, _, err = c.compilePlan(op, algo, geom, po.forceBlocking, po.transform); err != nil {
+		if p, _, err = c.compilePlan(op, algo, geom, po.transform); err != nil {
 			return nil, err
 		}
 	}
 	p.avgBlockElems = avgBlockElems
-	po.apply(p)
+	p.fence = po.fence(algo)
 	return p, nil
 }
 
 // compileAndLand is the compiling side of a shared miss: it compiles the
 // plan, detaches its master and lands fl with it — deferred, so the ranks
 // waiting on fl are released with an error even if compilation panics.
-func (c *Comm) compileAndLand(fl *planFlight, op OpKind, algo Algorithm, geom BlockGeometry, forceBlocking bool) (p *Plan, err error) {
+func (c *Comm) compileAndLand(fl *planFlight, op OpKind, algo Algorithm, geom BlockGeometry) (p *Plan, err error) {
 	var master *Plan
 	defer func() { sharedPlanCache.land(fl, c, master, err) }()
-	p, sched, err := c.compilePlan(op, algo, geom, forceBlocking, nil)
+	p, sched, err := c.compilePlan(op, algo, geom, nil)
 	if err == nil {
 		master = p.detach(sched)
 	}
@@ -166,7 +158,7 @@ func (c *Comm) compileAndLand(fl *planFlight, op OpKind, algo Algorithm, geom Bl
 // compilePlan compiles (op, algo, geometry) for this communicator from
 // scratch, returning the symbolic schedule it compiled (nil for the mesh
 // combining plans, which are derived without one).
-func (c *Comm) compilePlan(op OpKind, algo Algorithm, geom BlockGeometry, forceBlocking bool, transform func(*Schedule)) (*Plan, *Schedule, error) {
+func (c *Comm) compilePlan(op OpKind, algo Algorithm, geom BlockGeometry, transform func(*Schedule)) (*Plan, *Schedule, error) {
 	if algo == Combining && !c.IsPeriodic() {
 		// The mesh-aware combining schedules (mesh.go,
 		// mesh_allgather.go): per-process plans derived locally,
@@ -178,11 +170,7 @@ func (c *Comm) compilePlan(op OpKind, algo Algorithm, geom BlockGeometry, forceB
 		} else {
 			p, err = c.compileMeshAllgather(geom)
 		}
-		if err != nil {
-			return nil, nil, err
-		}
-		p.blocking = forceBlocking
-		return p, nil, nil
+		return p, nil, err
 	}
 	sched, err := c.scheduleFor(op, algo)
 	if err != nil {
@@ -192,7 +180,7 @@ func (c *Comm) compilePlan(op OpKind, algo Algorithm, geom BlockGeometry, forceB
 		sched = sched.Clone()
 		transform(sched)
 	}
-	p, err := c.compile(sched, geom, forceBlocking || algo == Trivial)
+	p, err := c.compile(sched, geom)
 	if err != nil {
 		return nil, nil, err
 	}

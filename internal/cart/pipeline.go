@@ -9,40 +9,50 @@ import (
 	"cartcc/internal/trace"
 )
 
-// The pipelined executor: completion-driven schedule execution over the
-// block-level dependency DAG of dag.go, replacing the per-phase Waitall
-// barrier. Rounds are not executed phase by phase; instead
+// The executor core: one step machine over the block-level dependency DAG
+// of dag.go runs every schedule (DESIGN.md §9). A round's send posts the
+// moment its RAW producers have retired; receives post in flat
+// (phase-major) order; each retirement decrements its dependents'
+// in-degrees, posting newly-ready sends and releasing gated scatters. Run
+// drives begin, onArrived, advance and leafTail from one loop (execute),
+// the progress engine from completion tokens (engine.go).
 //
-//   - a round's send posts the moment its RAW producers have retired —
-//     sends reading only the user send buffer post immediately, before any
-//     message has arrived;
-//   - receives are pre-posted in phase-major order up to a bounded window,
-//     so the runtime's match-time-consume single-copy path keeps hitting
-//     (an unexpected early message simply detaches to the wire pool and
-//     matches later — the window bounds memory, not correctness);
-//   - a completion-channel WaitSet (mpi.Waitsome) retires receives as they
-//     land: each retirement decrements its dependents' in-degrees, posting
-//     newly-ready sends and releasing gated scatters, with no barrier and
-//     no polling.
+// The policy is data, not a separate loop. The fence (Plan.fence) gates
+// posting: a unit — one phase under fencePhase, one round under
+// fenceRound, the whole plan under fenceNone — posts its receives and
+// sends only once every earlier unit has retired all its receives and
+// posted all its sends, and a fenced unit posts whole. Fenced plans and
+// cost-model runs consume completions in flat order (Wait on the earliest
+// posted, unretired receive) and post ready sends in ascending flat order,
+// so virtual time is deterministic; a cost model posts every receive up
+// front. A wall-clock pipelined run posts receives up to a bounded window
+// (early messages detach to the wire pool and match later: the window
+// bounds memory, not correctness), consumes completions in arrival order
+// from a WaitSet, and leaves leaf rounds — no RAW or WAW successors — to a
+// bulk tail.
 //
-// Progress argument: receives are posted in phase-major order, so the
-// earliest unretired receive is always posted (window >= 1). Its scatter
-// gates (WAR/WAW) point only at same-or-earlier-phase send posts and
-// strictly-earlier scatters, which unwind inductively to phase-0 sends —
-// all barrier-free. Any stall is therefore a wait for a message that some
-// peer has posted or will post, which is exactly the barriered executor's
-// dependency structure; since the barriered schedule is deadlock-free and
-// the DAG is a subset of its ordering constraints, the pipelined execution
-// terminates whenever the barriered one does.
-//
-// Failures keep their attribution: every error is wrapped by phaseError
-// with the round's phase, index, and peer before it propagates, and the
-// remaining posted receives are cancelled (or drained when a match is
-// already in flight) exactly as the barriered executor does.
+// Progress: the earliest unretired receive is always posted, and its
+// scatter gates unwind inductively to phase-0 sends, so a stall is a wait
+// for a message some peer has posted or will post. The round fence also
+// relies on no same-phase WAR edge running from a later send to an earlier
+// receive (TestNoForwardSamePhaseWAR); a flat-order wait that finds its
+// receive gated, or nothing posted, is an internal error, not a hang. Every
+// error carries phaseError's attribution, and abortDrain, the one failure
+// path, cancels or drains the remaining posted receives.
 
-// pipeState is the pipelined executor's plan-owned scratch: allocated once
-// on first use, reset in place on every execution, so repeated runs of one
-// plan stay allocation-free (alloc_regression_test.go).
+// fence is a plan's posting policy. It applies to Run only: the progress
+// engine always executes with fenceNone.
+type fence uint8
+
+const (
+	fenceNone  fence = iota // by the DAG alone: pipelined
+	fencePhase              // phase by phase: WithBarrieredPhases
+	fenceRound              // round by round: WithBlockingRounds, Trivial
+)
+
+// pipeState is the executor's plan-owned scratch: allocated once on first
+// use, reset in place on every execution, so repeated runs of one plan stay
+// allocation-free (alloc_regression_test.go).
 type pipeState struct {
 	sendLeft   []int32
 	scatLeft   []int32
@@ -52,10 +62,7 @@ type pipeState struct {
 	sendPosted []bool
 	recvPosted []bool
 	// leaf marks rounds whose retirement unblocks nothing (no RAW or WAW
-	// successors). Their completions carry no scheduling information, so
-	// they skip the WaitSet — no per-message wakeup — and are waited in
-	// bulk after the live rounds have driven the DAG dry, like the
-	// barriered executor's Waitall tail.
+	// successors); arrival-order executions wait them in bulk (leafTail).
 	leaf  []bool
 	stack []int32 // ready-to-post send work stack
 	// postNs stamps each round's receive-post wall time when a metrics
@@ -68,9 +75,9 @@ type pipeState struct {
 }
 
 // newPipeState allocates one execution's worth of scratch for the plan.
-// withWS attaches a plan-owned WaitSet for the synchronous executor; the
-// progress engine's executions pass false and attach their worker's
-// multiplexed set per execution instead (engine.go).
+// withWS attaches a plan-owned WaitSet for Run; the progress engine's
+// executions pass false and attach their worker's multiplexed set per
+// execution instead (engine.go).
 func newPipeState(p *Plan, withWS bool) *pipeState {
 	n := len(p.flat)
 	st := &pipeState{
@@ -126,14 +133,13 @@ func (st *pipeState) reset(p *Plan) {
 	}
 }
 
-// pipeExec is one execution's live state over a pipeState. The
-// synchronous executor drives it to completion on the caller's goroutine
-// over the plan-owned scratch; the progress engine (engine.go) embeds it
-// in an asyncExec and drives the same state machine from completion
-// events, with a per-execution tag offset (concurrent futures of one
-// communicator must not match each other's messages), the worker's shared
-// WaitSet, and an owner base that routes completions back to this
-// execution.
+// pipeExec is one execution's live state over a pipeState. Run drives it
+// to completion on the caller's goroutine over the plan-owned scratch; the
+// progress engine (engine.go) embeds it in an asyncExec and drives the
+// same state machine from completion events, with a per-execution tag
+// offset (concurrent futures of one communicator must not match each
+// other's messages), the worker's shared WaitSet, and an owner base that
+// routes completions back to this execution.
 type pipeExec[T any] struct {
 	p         *Plan
 	st        *pipeState
@@ -144,114 +150,176 @@ type pipeExec[T any] struct {
 	tagOff    int                 // added to every round tag (0 for synchronous runs)
 	ownerBase int                 // completion token base (0 for synchronous runs)
 	// leafGate, when non-nil (engine executions with leaf rounds),
-	// coalesces every leaf receive's completion into one sentinel token:
-	// leaves stay out of the window and the completion set — no
-	// per-message wakeup, exactly like the synchronous bulk tail — and
-	// the gate posts the execution's leaf sentinel once the last leaf
-	// (and the attach-time bias) has been accounted.
+	// coalesces every leaf receive's completion into one sentinel token —
+	// no per-message wakeup, like the synchronous bulk tail — posted once
+	// the last leaf (and the attach-time bias) has been accounted.
 	leafGate *atomic.Int32
-	// rlog is the plan's round log for synchronous runs. Async executions
-	// leave it nil: the RoundLog is single-goroutine, and an async
-	// execution posts from the committing caller concurrently with the
-	// engine driver (AsyncLog is the async trace story).
-	rlog     *trace.RoundLog
+	// rlog is the plan's round log for Run. Async executions leave it nil:
+	// the RoundLog is single-goroutine (AsyncLog is the async trace story).
+	rlog *trace.RoundLog
+	// fence is the posting policy; inOrder selects flat-order completion
+	// and ascending send posting. The engine leaves both zero.
+	fence   fence
+	inOrder bool
+	// timed stamps receive posts and observes cart.retire.ns at retirement
+	// (a metrics registry is attached and the plan runs DAG-ordered: fenced
+	// runs record no latency, and the engine's leaf tail only counts).
+	timed    bool
 	posted   int // posted, unretired tracked receives (window occupancy)
 	nextPost int // next flat index to consider for receive posting
+	open     int // end of the open fence units: nothing at or past it posts
+	unitLeft int // receives and sends of the open unit not yet retired or posted
+	nextWait int // flat-order completion cursor
 	remRecv  int
-	remLive  int // unretired tracked (WaitSet-driven) receives
+	remLive  int // unretired receives the driver waits for one by one
 	remSend  int
 }
 
-// runPipelined executes the plan's rounds in dependency order. bufs is the
-// (send, recv, temp) buffer array; local copies are the caller's job (they
-// run after every round has retired, as in the barriered executor).
-func runPipelined[T any](p *Plan, ops *roundOps[T], bufs [][]T) error {
+// execute runs the plan's rounds over bufs, the (send, recv, temp) buffer
+// array, under the plan's fence — the one synchronous driver of the step
+// machine. The local copies are the caller's job (they run after every
+// round has retired).
+func execute[T any](p *Plan, ops *roundOps[T], bufs [][]T) error {
 	st := p.pipeScratch()
-	n := len(p.flat)
-	st.ws.Reset()
-	st.reset(p)
-	e := &pipeExec[T]{p: p, st: st, ops: ops, bufs: bufs, ws: st.ws, rlog: p.rlog, remRecv: st.nRecvs, remLive: st.nLive, remSend: st.nSends}
-
-	// Receives first (window depth), then every barrier-free send.
-	if err := e.fillWindow(); err != nil {
-		return err
+	e := &pipeExec[T]{p: p, st: st, ops: ops, bufs: bufs, ws: st.ws, rlog: p.rlog,
+		fence: p.fence, inOrder: p.fence != fenceNone || p.comm.comm.Model() != nil,
+		timed: p.cmet != nil && p.fence == fenceNone}
+	if !e.inOrder {
+		st.ws.Reset()
 	}
-	for i := 0; i < n; i++ {
-		if p.flat[i].sendTo != ProcNull && st.sendLeft[i] == 0 {
-			st.stack = append(st.stack, int32(i))
-		}
-	}
-	if err := e.drainSends(); err != nil {
-		return err
+	if err := e.begin(); err != nil {
+		return e.abortDrain(err)
 	}
 	for e.remLive > 0 {
-		owners, err := st.ws.Waitsome()
-		if err != nil {
-			return e.abortDrain(e.attributeWaitErr(err))
+		if err := e.next(); err != nil {
+			return e.abortDrain(err)
 		}
-		if owners == nil {
-			return e.abortDrain(fmt.Errorf("cart: internal: pipelined executor stalled with %d live receive(s) unretired", e.remLive))
-		}
-		for _, i := range owners {
-			e.st.arrived[i] = true
-			if err := e.tryRetire(int32(i)); err != nil {
-				return e.abortDrain(err)
-			}
-		}
-		if err := e.fillWindow(); err != nil {
-			return err
-		}
-		if err := e.drainSends(); err != nil {
-			return err
+		if err := e.advance(); err != nil {
+			return e.abortDrain(err)
 		}
 	}
-	if err := e.drainSends(); err != nil {
-		return err
-	}
-	if e.remSend > 0 {
-		return e.abortDrain(fmt.Errorf("cart: internal: pipelined executor finished live receives with %d send(s) unposted", e.remSend))
-	}
-	// Bulk tail: every live round has retired, so all scatter gates of the
-	// remaining leaf receives have fired; wait them in flat (phase-major)
-	// order, which preserves WAW order among deferred leaf scatters.
-	for i := range p.flat {
-		if !st.recvPosted[i] || st.retired[i] {
-			continue
-		}
-		if st.scatLeft[i] > 0 {
-			return e.abortDrain(fmt.Errorf("cart: internal: leaf round %d still scatter-gated after DAG drain", i))
-		}
-		if _, err := ops.req(i).Wait(); err != nil {
-			return e.abortDrain(p.phaseError(p.deps[i].phase, p.deps[i].idx, "recv from", p.flat[i].recvFrom, err))
-		}
-		st.retired[i] = true
-		e.remRecv--
-		logRound(e.rlog, p.deps[i].phase, p.deps[i].idx, p.flat[i].recvFrom, trace.RoundRecvDone)
-		p.countRetire()
-		if m := p.cmet; m != nil {
-			m.retireNs.Observe(time.Now().UnixNano() - st.postNs[i])
-		}
-	}
-	if e.remRecv > 0 {
-		return fmt.Errorf("cart: internal: pipelined executor finished with %d receive(s) unposted", e.remRecv)
+	if err := e.leafTail(); err != nil {
+		return e.abortDrain(err)
 	}
 	return nil
 }
 
-// fillWindow pre-posts receives in phase-major order until the window
-// holds p.window live receives or none remain. Leaf receives do not count
-// against the window and are not added to the WaitSet: a posted receive
-// pins no payload memory (an early message detaches to the pooled wire
-// either way), so posting them eagerly only widens the match-time-consume
-// fast path, while the window bounds the completion-tracked frontier the
-// executor must react to. The deferred-scatter decision is frozen at post
-// time: a round whose scatter gates are already clear may scatter at match
-// time (single-copy) — its gates only ever decrease, so no conflicting
-// send or earlier scatter can appear later. A round still gated defers its
-// scatter to retirement (Wait), in this goroutine, after the gates clear.
-func (e *pipeExec[T]) fillWindow() error {
+// next consumes one step of completions: in flat order the Wait on the
+// earliest unretired receive — flat-order executions retire in exactly
+// that order, so the cursor only moves forward — in arrival order one
+// Waitsome batch.
+func (e *pipeExec[T]) next() error {
+	if !e.inOrder {
+		owners, err := e.ws.Waitsome()
+		if err != nil {
+			return e.attributeWaitErr(err)
+		}
+		if owners == nil {
+			return fmt.Errorf("cart: internal: pipelined executor stalled with %d live receive(s) unretired", e.remLive)
+		}
+		for _, i := range owners {
+			if err := e.onArrived(i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	p, st := e.p, e.st
-	for e.posted < p.window && e.nextPost < len(p.flat) {
+	for e.nextWait < len(p.flat) && (p.flat[e.nextWait].recvFrom == ProcNull || st.retired[e.nextWait]) {
+		e.nextWait++
+	}
+	switch i := e.nextWait; {
+	case i == len(p.flat) || !st.recvPosted[i]:
+		return fmt.Errorf("cart: internal: executor stalled with %d receive(s) unretired and none posted", e.remLive)
+	case st.scatLeft[i] > 0:
+		return fmt.Errorf("cart: internal: round %d scatter-gated at its flat-order wait", i)
+	default:
+		return e.onArrived(i)
+	}
+}
+
+// begin rearms the scratch and posts what the policy allows before any
+// message has arrived: the first fence unit's receives and its ready
+// sends — for the pipelined policy, the first receive window and every
+// barrier-free send.
+func (e *pipeExec[T]) begin() error {
+	e.st.reset(e.p)
+	e.posted, e.nextPost, e.nextWait, e.open, e.unitLeft = 0, 0, 0, 0, 0
+	e.remRecv, e.remLive, e.remSend = e.st.nRecvs, e.st.nLive, e.st.nSends
+	if e.inOrder {
+		e.remLive = e.st.nRecvs
+	}
+	return e.advance()
+}
+
+// onArrived marks flat round i's receive complete and retires what the
+// DAG allows.
+func (e *pipeExec[T]) onArrived(i int) error {
+	e.st.arrived[i] = true
+	return e.tryRetire(int32(i))
+}
+
+// advance posts what the policy allows after completions: it refills the
+// receive window, posts the ready sends, and opens the next fence unit
+// once the open one has finished — repeatedly, since a unit without
+// receives finishes at its last send.
+func (e *pipeExec[T]) advance() error {
+	for {
+		e.fillWindow()
+		if err := e.drainSends(); err != nil {
+			return err
+		}
+		if e.unitLeft > 0 || e.open == len(e.p.flat) {
+			return nil
+		}
+		e.openUnit()
+	}
+}
+
+// openUnit opens the fence unit starting at e.open — one round, one
+// phase, or the rest of the plan — and queues its ready sends; fillWindow
+// posts its receives. Under a fence every send of the unit is ready here:
+// its RAW producers sit in strictly earlier phases, all retired.
+func (e *pipeExec[T]) openUnit() {
+	p, st := e.p, e.st
+	a := e.open
+	switch e.fence {
+	case fenceRound:
+		e.open = a + 1
+	case fencePhase:
+		e.open = a + len(p.phases[p.deps[a].phase])
+	default:
+		e.open = len(p.flat)
+	}
+	for i := a; i < e.open; i++ {
+		r := p.flat[i]
+		if r.recvFrom != ProcNull {
+			e.unitLeft++
+		}
+		if r.sendTo != ProcNull {
+			e.unitLeft++
+			if st.sendLeft[i] == 0 {
+				st.stack = append(st.stack, int32(i))
+			}
+		}
+	}
+}
+
+// fillWindow posts the open units' receives in flat order: all of them in
+// flat-order mode, otherwise until the window holds p.window live
+// receives. Leaf receives do not count against the window and are not
+// added to the WaitSet: a posted receive pins no payload memory (an early
+// message detaches to the pooled wire either way), so posting them
+// eagerly only widens the match-time-consume fast path, while the window
+// bounds the completion-tracked frontier the executor must react to. The
+// deferred-scatter decision is frozen at post time: a round whose scatter
+// gates are already clear may scatter at match time (single-copy) — its
+// gates only ever decrease, so no conflicting send or earlier scatter can
+// appear later. A round still gated defers its scatter to retirement
+// (Wait), in this goroutine, after the gates clear.
+func (e *pipeExec[T]) fillWindow() {
+	p, st := e.p, e.st
+	for e.nextPost < e.open && (e.inOrder || e.posted < p.window) {
 		i := e.nextPost
 		r := p.flat[i]
 		if r.recvFrom == ProcNull {
@@ -264,10 +332,13 @@ func (e *pipeExec[T]) fillWindow() error {
 		e.nextPost++
 		logRound(e.rlog, p.deps[i].phase, p.deps[i].idx, r.recvFrom, trace.RoundRecvPost)
 		p.countRecvPost()
-		if m := p.cmet; m != nil {
+		if e.timed {
 			st.postNs[i] = time.Now().UnixNano()
 		}
-		if !st.leaf[i] {
+		switch {
+		case e.inOrder:
+			// Waited in flat order: no completion tracking.
+		case !st.leaf[i]:
 			e.posted++
 			if m := p.cmet; m != nil {
 				m.prepostHWM.SetMax(int64(e.posted))
@@ -277,22 +348,35 @@ func (e *pipeExec[T]) fillWindow() error {
 			} else {
 				e.ws.Add(req, e.ownerBase+i)
 			}
-		} else if e.leafGate != nil {
+		case e.leafGate != nil:
 			e.sink.AddGated(req, e.ownerBase|ownerMask, e.leafGate)
 		}
 	}
-	return nil
 }
 
-// drainSends posts every send on the ready stack; each post releases its
-// WAR-gated scatters, which can retire rounds and push further sends.
+// drainSends posts every send on the ready stack — last pushed first, or
+// in ascending flat order in flat-order mode, which gets earlier-phase
+// messages, sitting on the recipients' critical paths, onto the wire
+// first (the ready set is a handful of rounds, so min-extraction is
+// noise). Each post releases its WAR-gated scatters, which can retire
+// rounds and push further sends.
 func (e *pipeExec[T]) drainSends() error {
 	st := e.st
 	for len(st.stack) > 0 {
-		i := st.stack[len(st.stack)-1]
-		st.stack = st.stack[:len(st.stack)-1]
+		top := len(st.stack) - 1
+		if e.inOrder {
+			mi := top
+			for j := range st.stack {
+				if st.stack[j] < st.stack[mi] {
+					mi = j
+				}
+			}
+			st.stack[mi], st.stack[top] = st.stack[top], st.stack[mi]
+		}
+		i := st.stack[top]
+		st.stack = st.stack[:top]
 		if err := e.postSend(i); err != nil {
-			return e.abortDrain(err)
+			return err
 		}
 	}
 	return nil
@@ -309,6 +393,7 @@ func (e *pipeExec[T]) postSend(i int32) error {
 	}
 	st.sendPosted[i] = true
 	e.remSend--
+	e.unitLeft--
 	logRound(e.rlog, p.deps[i].phase, p.deps[i].idx, r.sendTo, trace.RoundSendPost)
 	p.countSend(r)
 	for _, s := range p.deps[i].warSucc {
@@ -323,8 +408,9 @@ func (e *pipeExec[T]) postSend(i int32) error {
 // tryRetire retires round i once its message has arrived and its scatter
 // gates are clear: the Wait performs the deferred scatter (or just reports
 // the match-time scatter's result), then the retirement cascades — RAW
-// successors lose a producer (sends may become ready), WAW successors lose
-// a scatter gate (later receives on the same extent may retire).
+// successors lose a producer (sends may become ready; under a fence they
+// are queued when their unit opens), WAW successors lose a scatter gate
+// (later receives on the same extent may retire).
 func (e *pipeExec[T]) tryRetire(i int32) error {
 	p, st := e.p, e.st
 	if !st.recvPosted[i] || st.retired[i] {
@@ -346,18 +432,13 @@ func (e *pipeExec[T]) tryRetire(i int32) error {
 	if _, err := e.ops.req(int(i)).Wait(); err != nil {
 		return p.phaseError(p.deps[i].phase, p.deps[i].idx, "recv from", p.flat[i].recvFrom, err)
 	}
-	st.retired[i] = true
 	e.posted--
-	e.remRecv--
 	e.remLive--
-	logRound(e.rlog, p.deps[i].phase, p.deps[i].idx, p.flat[i].recvFrom, trace.RoundRecvDone)
-	p.countRetire()
-	if m := p.cmet; m != nil {
-		m.retireNs.Observe(time.Now().UnixNano() - st.postNs[i])
-	}
+	e.unitLeft--
+	e.recordRetire(int(i), e.timed)
 	for _, s := range p.deps[i].rawSucc {
 		st.sendLeft[s]--
-		if st.sendLeft[s] == 0 {
+		if st.sendLeft[s] == 0 && int(s) < e.open {
 			st.stack = append(st.stack, s)
 		}
 	}
@@ -370,93 +451,43 @@ func (e *pipeExec[T]) tryRetire(i int32) error {
 	return nil
 }
 
-// runPipelinedModel executes the plan's rounds in dependency order under a
-// virtual-time cost model, where the per-rank clock is charged at send
-// posts and receive waits: sends post the moment their RAW producers have
-// retired — exactly as in runPipelined — so the clock prices the DAG's
-// depth (barrier-free rounds pay the wire latency α once, not once per
-// phase), but receives are waited in flat (phase-major) order instead of
-// real completion order, so the accounting is deterministic and
-// independent of goroutine scheduling.
-//
-// Flat-order waiting needs no readiness check: the earliest unretired
-// receive's WAW gates are earlier receives (already retired) and its WAR
-// gates are same-or-earlier-phase sends, whose RAW producers are receives
-// of strictly earlier phases (already retired) — so its scatter gates are
-// always clear, the invariant the internal-error guard below asserts.
-func runPipelinedModel[T any](p *Plan, ops *roundOps[T], bufs [][]T) error {
-	st := p.pipeScratch()
-	n := len(p.flat)
-	st.reset(p)
-	e := &pipeExec[T]{p: p, st: st, ops: ops, bufs: bufs, ws: st.ws, rlog: p.rlog, remRecv: st.nRecvs, remLive: st.nRecvs, remSend: st.nSends}
+// recordRetire records round i's waited receive as retired, with its
+// post-to-retire latency when timed.
+func (e *pipeExec[T]) recordRetire(i int, timed bool) {
+	p, st := e.p, e.st
+	st.retired[i] = true
+	e.remRecv--
+	logRound(e.rlog, p.deps[i].phase, p.deps[i].idx, p.flat[i].recvFrom, trace.RoundRecvDone)
+	p.countRetire()
+	if timed {
+		p.cmet.retireNs.Observe(time.Now().UnixNano() - st.postNs[i])
+	}
+}
 
-	// Post every receive upfront (posting is free on the virtual clock and
-	// keeps the match-time-consume path hitting), then every barrier-free
-	// send.
-	for i := 0; i < n; i++ {
-		r := p.flat[i]
-		if r.recvFrom == ProcNull {
-			continue
-		}
-		st.deferred[i] = st.scatLeft[i] > 0
-		ops.recv[i].Start(e.bufs, 0, st.deferred[i])
-		st.recvPosted[i] = true
-		logRound(e.rlog, p.deps[i].phase, p.deps[i].idx, r.recvFrom, trace.RoundRecvPost)
-		p.countRecvPost()
-		if m := p.cmet; m != nil {
-			st.postNs[i] = time.Now().UnixNano()
-		}
+// leafTail finishes an execution whose driven receives have all retired:
+// it retires the remaining posted receives — the leaves of an
+// arrival-order execution — in flat (phase-major) order, which preserves
+// WAW order among deferred leaf scatters. Every live round has retired,
+// so all of the leaves' scatter gates have fired.
+func (e *pipeExec[T]) leafTail() error {
+	p, st := e.p, e.st
+	if e.remSend > 0 {
+		return fmt.Errorf("cart: internal: executor finished live receives with %d send(s) unposted", e.remSend)
 	}
-	for i := 0; i < n; i++ {
-		if p.flat[i].sendTo != ProcNull && st.sendLeft[i] == 0 {
-			st.stack = append(st.stack, int32(i))
-		}
-	}
-	if err := e.drainSendsOrdered(); err != nil {
-		return err
-	}
-	for i := 0; i < n; i++ {
+	for i := range p.flat {
 		if !st.recvPosted[i] || st.retired[i] {
 			continue
 		}
 		if st.scatLeft[i] > 0 {
-			return e.abortDrain(fmt.Errorf("cart: internal: round %d scatter-gated at its flat-order wait", i))
+			return fmt.Errorf("cart: internal: leaf round %d still scatter-gated after DAG drain", i)
 		}
-		st.arrived[i] = true
-		if err := e.tryRetire(int32(i)); err != nil {
-			return e.abortDrain(err)
+		if _, err := e.ops.req(i).Wait(); err != nil {
+			return p.phaseError(p.deps[i].phase, p.deps[i].idx, "recv from", p.flat[i].recvFrom, err)
 		}
-		if err := e.drainSendsOrdered(); err != nil {
-			return err
-		}
+		e.recordRetire(i, e.timed && e.sink == nil)
 	}
-	if e.remSend > 0 {
-		return fmt.Errorf("cart: internal: pipelined executor finished receives with %d send(s) unposted", e.remSend)
-	}
-	return nil
-}
-
-// drainSendsOrdered posts every send on the ready stack in ascending flat
-// (phase-major) order — the order that gets earlier-phase messages, which
-// sit on the recipients' critical paths, onto the wire first. The model
-// executor uses it so the virtual clock prices a sensible posting order;
-// repeated min-extraction keeps the scratch stack's backing array (the
-// ready set is a handful of rounds, so quadratic extraction is noise).
-func (e *pipeExec[T]) drainSendsOrdered() error {
-	st := e.st
-	for len(st.stack) > 0 {
-		mi := 0
-		for j := range st.stack {
-			if st.stack[j] < st.stack[mi] {
-				mi = j
-			}
-		}
-		i := st.stack[mi]
-		st.stack[mi] = st.stack[len(st.stack)-1]
-		st.stack = st.stack[:len(st.stack)-1]
-		if err := e.postSend(i); err != nil {
-			return e.abortDrain(err)
-		}
+	if e.remRecv > 0 {
+		return fmt.Errorf("cart: internal: executor finished with %d receive(s) unposted", e.remRecv)
 	}
 	return nil
 }
@@ -475,11 +506,12 @@ func (e *pipeExec[T]) attributeWaitErr(err error) error {
 	return fmt.Errorf("cart: %s(%s): %w", p.op, p.algo, err)
 }
 
-// abortDrain abandons the execution after attributed: posted unretired
-// receives are cancelled — their messages may never come — and receives
-// already holding a match (or poison) are drained so no pooled wire or
-// in-flight scatter is left dangling. Mirrors the barriered executor's
-// failure path.
+// abortDrain abandons the execution after attributed, the executor's one
+// failure path: posted unretired receives are cancelled — their messages
+// may never come — and receives already holding a match (or poison) are
+// drained so no pooled wire or in-flight scatter is left dangling. Every
+// slot is quiescent again when it returns. Idempotent: a drained receive
+// is finished, so Cancel and Wait return at once.
 func (e *pipeExec[T]) abortDrain(attributed error) error {
 	st := e.st
 	for i := range e.p.flat {
@@ -493,18 +525,19 @@ func (e *pipeExec[T]) abortDrain(attributed error) error {
 	return attributed
 }
 
-// logRound emits one executor event to l when a round log is attached.
-// Both executors log through it; async executions pass a nil log.
+// logRound emits one executor event to l when a round log is attached;
+// async executions pass a nil log.
 func logRound(l *trace.RoundLog, phase, round, peer int, kind trace.RoundKind) {
 	if l != nil {
 		l.Add(phase, round, peer, kind)
 	}
 }
 
-// SetRoundLog attaches a wall-clock per-round event log to the plan's
-// executions (nil detaches). The pipelined executor records send posts,
-// receive posts, and receive retirements; the barriered executor records
-// posts. Single-goroutine, like the plan itself.
+// SetRoundLog attaches a wall-clock per-round event log to the plan's Run
+// executions (nil detaches): every policy records send posts, receive
+// posts and receive retirements, in the order the executor performs them.
+// Executions through Start are not logged. Single-goroutine, like the
+// plan itself.
 func (p *Plan) SetRoundLog(l *trace.RoundLog) {
 	p.rlog = l
 	if l != nil {

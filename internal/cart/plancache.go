@@ -24,7 +24,7 @@ import (
 // goroutines in one address space, and two communicators with the same
 // fingerprint compile identical plans, so sharing is correct, not merely
 // safe. Entries hold detached "master" plans — the immutable compile
-// products only (phases, copies, DAG, deferScatter), with every piece of
+// products only (phases, copies, DAG), with every piece of
 // per-instance scratch stripped. A hit binds a fresh Plan to the calling
 // communicator (bind), sharing the masters' read-only structure; the
 // executors allocate their own scratch (pends, pipe, temp) lazily, so
@@ -71,9 +71,9 @@ import (
 //     and the w-variants (geometry closed over caller Layouts the cache
 //     cannot fingerprint) bypass the cache entirely.
 //
-// Execution-style options (blocking rounds, barriered phases, pre-post
-// window) are NOT part of the key: they do not affect compilation, only
-// which executor runs, and are applied to the bound instance after a hit.
+// Execution-style options (blocking rounds, barriered phases) are NOT part
+// of the key: they do not affect compilation, only the fence Run posts
+// under, and are applied to the bound instance after a hit.
 
 // geomKind classifies block geometries for fingerprinting.
 type geomKind uint8
@@ -412,7 +412,6 @@ func planFootprint(p *Plan) int64 {
 	b += int64(len(p.copies)) * copyCost
 	b += int64(len(p.deps)) * depCost
 	b += int64(len(p.flat)+len(p.rels)) * 8
-	b += int64(len(p.deferScatter))
 	return b
 }
 
@@ -482,17 +481,16 @@ func ResetPlanCache() {
 // from s, the schedule the plan was compiled from.
 func (p *Plan) detach(s *Schedule) *Plan {
 	m := &Plan{
-		op:           p.op,
-		algo:         p.algo,
-		phases:       p.phases,
-		copies:       p.copies,
-		tempLen:      p.tempLen,
-		rounds:       p.rounds,
-		volume:       p.volume,
-		deferScatter: p.deferScatter,
-		flat:         p.flat,
-		deps:         p.deps,
-		window:       p.window,
+		op:      p.op,
+		algo:    p.algo,
+		phases:  p.phases,
+		copies:  p.copies,
+		tempLen: p.tempLen,
+		rounds:  p.rounds,
+		volume:  p.volume,
+		flat:    p.flat,
+		deps:    p.deps,
+		window:  p.window,
 	}
 	if p.comm.IsPeriodic() {
 		m.rels = s.flatRels()
@@ -514,22 +512,20 @@ func (p *Plan) detach(s *Schedule) *Plan {
 // whole (one Plan allocation); a torus master's are copied into the new
 // plan's own backing array, phase headers and flat pointers, with the
 // peers resolved from the calling rank — four allocations.
-func (m *Plan) bind(c *Comm, blocking bool) *Plan {
+func (m *Plan) bind(c *Comm) *Plan {
 	p := &Plan{
-		comm:         c,
-		op:           m.op,
-		algo:         m.algo,
-		blocking:     blocking,
-		phases:       m.phases,
-		copies:       m.copies,
-		tempLen:      m.tempLen,
-		rounds:       m.rounds,
-		volume:       m.volume,
-		deferScatter: m.deferScatter,
-		flat:         m.flat,
-		deps:         m.deps,
-		window:       m.window,
-		cmet:         c.cmet,
+		comm:    c,
+		op:      m.op,
+		algo:    m.algo,
+		phases:  m.phases,
+		copies:  m.copies,
+		tempLen: m.tempLen,
+		rounds:  m.rounds,
+		volume:  m.volume,
+		flat:    m.flat,
+		deps:    m.deps,
+		window:  m.window,
+		cmet:    c.cmet,
 	}
 	if m.rels != nil {
 		p.phases, p.flat = cloneRounds(m.phases)

@@ -181,10 +181,10 @@ func TestPlanCacheOrderSensitive(t *testing.T) {
 	}
 }
 
-// TestPlanCacheStyleOptionsNotInKey: execution-style options select an
-// executor, not a compilation, so a barriered Init after a plain one is
-// still a hit — and the instance carries the requested style while the
-// plain instance does not.
+// TestPlanCacheStyleOptionsNotInKey: execution-style options select a
+// fence, not a compilation, so a barriered or blocking Init after a plain
+// one is still a hit — and each instance carries the requested fence while
+// the plain instance does not.
 func TestPlanCacheStyleOptionsNotInKey(t *testing.T) {
 	withFreshPlanCache(t, DefaultPlanCacheCapacity)
 	err := runStencilWorld(func(c *Comm) error {
@@ -192,8 +192,8 @@ func TestPlanCacheStyleOptionsNotInKey(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if plain.barriered {
-			return fmt.Errorf("plain plan compiled barriered")
+		if plain.fence != fenceNone {
+			return fmt.Errorf("plain plan compiled with fence %d", plain.fence)
 		}
 		barriered, err := AlltoallInit(c, 3, Combining, WithBarrieredPhases())
 		if err != nil {
@@ -202,15 +202,18 @@ func TestPlanCacheStyleOptionsNotInKey(t *testing.T) {
 		if !barriered.FromCache() {
 			return fmt.Errorf("barriered Init missed despite identical compile key")
 		}
-		if !barriered.barriered {
+		if barriered.fence != fencePhase {
 			return fmt.Errorf("style option lost on the cache-hit path")
 		}
-		windowed, err := AlltoallInit(c, 3, Combining, WithPrepostWindow(2))
+		blocking, err := AlltoallInit(c, 3, Combining, WithBlockingRounds())
 		if err != nil {
 			return err
 		}
-		if !windowed.FromCache() || windowed.window != 2 {
-			return fmt.Errorf("window option on hit path: fromCache=%v window=%d", windowed.FromCache(), windowed.window)
+		if !blocking.FromCache() || blocking.fence != fenceRound {
+			return fmt.Errorf("blocking option on hit path: fromCache=%v fence=%d", blocking.FromCache(), blocking.fence)
+		}
+		if err := checkAlltoall(c, blocking, 3); err != nil {
+			return err
 		}
 		return checkAlltoall(c, barriered, 3)
 	})

@@ -326,36 +326,30 @@ type execCopy struct {
 // concrete block geometry but not to buffers or an element type; it can be
 // executed many times (persistent-collective style).
 type Plan struct {
-	comm     *Comm
-	op       OpKind
-	algo     Algorithm
-	blocking bool // trivial schedule: sequential blocking rounds
-	phases   [][]execRound
-	copies   []execCopy
-	tempLen  int
-	rounds   int
-	volume   int
-	sendLen  int // required send buffer length in elements (0 = unchecked)
-	recvLen  int // required recv buffer length in elements
-	temp     any // cached temporary buffer ([]T of the last element type)
+	comm    *Comm
+	op      OpKind
+	algo    Algorithm
+	phases  [][]execRound
+	copies  []execCopy
+	tempLen int
+	rounds  int
+	volume  int
+	sendLen int // required send buffer length in elements (0 = unchecked)
+	recvLen int // required recv buffer length in elements
+	temp    any // cached temporary buffer ([]T of the last element type)
 
-	// deferScatter, per phase, requests Wait-time (receiver-side) scatter
-	// from the runtime: set when a phase's receive-target extents overlap
-	// its send-source extents, where the match-time single-copy fast path
-	// could race the sender-side gathers. Computed once at compile.
-	deferScatter []bool
 	// flat and deps are the block-level dependency DAG over all rounds in
-	// phase-major order (dag.go); pipe is the pipelined executor's
-	// plan-owned scratch (pipeline.go), and ops the persistent send and
-	// receive of every round (a *roundOps[T] of the last element type),
-	// which all of Run's executors restart. barriered forces the per-phase
-	// Waitall executor; window bounds the receive pre-post depth.
-	flat      []*execRound
-	deps      []roundDep
-	pipe      *pipeState
-	ops       any
-	barriered bool
-	window    int
+	// phase-major order (dag.go); pipe is the executor's plan-owned scratch
+	// (pipeline.go), and ops the persistent send and receive of every
+	// round (a *roundOps[T] of the last element type), which Run restarts.
+	// fence is Run's posting policy (the execution-style options); window
+	// bounds the pipelined policy's receive pre-post depth.
+	flat   []*execRound
+	deps   []roundDep
+	pipe   *pipeState
+	ops    any
+	fence  fence
+	window int
 
 	// Progress-engine scratch pool (future.go): detached pipeStates and
 	// temp buffers for committed executions, so several futures of one
@@ -456,15 +450,14 @@ func (p *Plan) SendElements() int {
 // compile turns a symbolic schedule plus block geometry into an executable
 // plan for this process: relative round steps resolve to concrete ranks,
 // move lists resolve to gather/scatter composites. Purely local, O(td).
-func (c *Comm) compile(s *Schedule, geom BlockGeometry, blocking bool) (*Plan, error) {
+func (c *Comm) compile(s *Schedule, geom BlockGeometry) (*Plan, error) {
 	p := &Plan{
-		comm:     c,
-		op:       s.Op,
-		algo:     s.Algo,
-		blocking: blocking,
-		rounds:   s.Rounds,
-		volume:   s.Volume,
-		cmet:     c.cmet,
+		comm:   c,
+		op:     s.Op,
+		algo:   s.Algo,
+		rounds: s.Rounds,
+		volume: s.Volume,
+		cmet:   c.cmet,
 	}
 	rank := c.comm.Rank()
 	t := len(c.nbh)
@@ -500,7 +493,6 @@ func (c *Comm) compile(s *Schedule, geom BlockGeometry, blocking bool) (*Plan, e
 			rounds = append(rounds, er)
 		}
 		p.phases = append(p.phases, rounds)
-		p.deferScatter = append(p.deferScatter, phaseConflicts(rounds))
 	}
 	for _, cp := range s.Copies {
 		ec := execCopy{
@@ -515,25 +507,6 @@ func (c *Comm) compile(s *Schedule, geom BlockGeometry, blocking bool) (*Plan, e
 	}
 	buildDAG(p)
 	return p, nil
-}
-
-// phaseConflicts reports whether any receive-target extent of the phase
-// overlaps any send-source extent in the same buffer. A conflict-free
-// phase lets the runtime scatter incoming payloads into the user buffers
-// at match time — possibly from the sender's goroutine, concurrent with
-// this process's own send-side gathers — for single-copy delivery. A
-// conflicting phase (mesh boundaries can fold a block's in- and out-slots
-// together) must keep the classic semantics: sends read the pre-phase
-// state, receives land at Wait. One sorted sweep over the phase's union
-// of receive extents against its union of send extents (dag.go's extent
-// machinery) — compile-time only.
-func phaseConflicts(rounds []execRound) bool {
-	var recv, send []bufExtent
-	for i := range rounds {
-		recv = appendExtents(recv, &rounds[i].recv)
-		send = appendExtents(send, &rounds[i].send)
-	}
-	return extentsOverlap(normalizeExtents(recv), normalizeExtents(send))
 }
 
 // layoutFor resolves a (buffer, slot) pair through the geometry.
@@ -567,17 +540,18 @@ func geomTempHigh(geom BlockGeometry, mv Move) int {
 }
 
 // Run executes the plan: the zero-copy schedule execution of Listing 5 of
-// the paper. A trivial plan executes its rounds as sequential blocking
-// send-receive pairs (Listing 4); a combining plan runs the pipelined
-// dependency-DAG executor (pipeline.go), which overlaps rounds across
-// phases — or the classic phase-by-phase Waitall executor when the plan
-// was compiled WithBarrieredPhases. Under a virtual-time cost model the
-// pipelined executor runs in its deterministic dataflow order
-// (runPipelinedModel): sends still post the moment their producers retire,
-// so the clock prices the DAG's depth rather than the phase count, but
-// completions are consumed in flat order so the accounting does not depend
-// on goroutine scheduling. The element type binds at execution time; the
-// temporary buffer is cached on the plan across executions.
+// the paper, on the executor core of pipeline.go. A combining plan runs
+// pipelined — each round's send posts the moment the receives producing
+// its blocks have retired, overlapping rounds across phases — unless it
+// was compiled WithBarrieredPhases (one phase at a time, the classic
+// per-phase Waitall) or WithBlockingRounds; a trivial plan, like a
+// blocking one, executes its rounds as sequential blocking send-receive
+// pairs (Listing 4). Under a virtual-time cost model every policy consumes
+// completions in flat order, so the accounting does not depend on
+// goroutine scheduling, while pipelined sends still post the moment their
+// producers retire and the clock prices the DAG's depth rather than the
+// phase count. The element type binds at execution time; the temporary
+// buffer is cached on the plan across executions.
 func Run[T any](p *Plan, send, recv []T) error {
 	if p.alt != nil {
 		p = p.choose(elemBytesOf[T]())
@@ -605,7 +579,7 @@ func Run[T any](p *Plan, send, recv []T) error {
 	if err != nil {
 		return err
 	}
-	err = runRounds(p, ops, bufs)
+	err = execute(p, ops, bufs)
 	if err == nil {
 		for _, cp := range p.copies {
 			datatype.Copy(recv, cp.to, bufs[cp.fromBuf], cp.from)
@@ -619,95 +593,6 @@ func Run[T any](p *Plan, send, recv []T) error {
 	// into.)
 	clear(bufs)
 	return err
-}
-
-// runRounds executes every round of the plan over bufs with the executor
-// the plan was compiled for; the local copies are the caller's.
-func runRounds[T any](p *Plan, ops *roundOps[T], bufs [][]T) error {
-	if !p.blocking && !p.barriered {
-		if p.comm.comm.Model() != nil {
-			return runPipelinedModel(p, ops, bufs)
-		}
-		return runPipelined(p, ops, bufs)
-	}
-
-	base := 0 // flat (phase-major) index of the phase's first round
-	for pi, rounds := range p.phases {
-		if p.blocking {
-			for ri := range rounds {
-				r := &rounds[ri]
-				if err := runRoundBlocking(ops, base+ri, r, bufs, p.deferScatter[pi]); err != nil {
-					return p.roundError(pi, ri, r, err)
-				}
-				if r.recvFrom != ProcNull {
-					p.countRecvPost()
-					p.countRetire()
-				}
-				if r.sendTo != ProcNull {
-					p.countSend(r)
-				}
-			}
-			base += len(rounds)
-			continue
-		}
-		// Start every round of the phase: receives first, then sends. Sends
-		// complete at post; a failed one (dead peer, revoked context) is
-		// attributed after the receives have drained, like any request that
-		// follows them in post order.
-		for ri := range rounds {
-			r := &rounds[ri]
-			if r.recvFrom == ProcNull {
-				continue
-			}
-			ops.recv[base+ri].Start(bufs, 0, p.deferScatter[pi])
-			logRound(p.rlog, pi, ri, r.recvFrom, trace.RoundRecvPost)
-			p.countRecvPost()
-		}
-		var sendErr error
-		for ri := range rounds {
-			r := &rounds[ri]
-			if r.sendTo == ProcNull {
-				continue
-			}
-			if err := ops.send[base+ri].Start(bufs, 0); err != nil && sendErr == nil {
-				sendErr = p.phaseError(pi, ri, "send to", r.sendTo, err)
-			}
-			logRound(p.rlog, pi, ri, r.sendTo, trace.RoundSendPost)
-			p.countSend(r)
-		}
-		// Drain the phase. After the first failure the remaining unmatched
-		// receives are cancelled rather than waited on — their messages may
-		// never come (a dead peer, a revoked context) and the schedule is
-		// abandoned anyway; receives that already hold a message (or poison)
-		// are not cancellable and complete immediately. Either way every
-		// slot is quiescent again when the phase returns.
-		var firstErr error
-		for ri := range rounds {
-			r := &rounds[ri]
-			if r.recvFrom == ProcNull {
-				continue
-			}
-			req := ops.req(base + ri)
-			if firstErr != nil && req.Cancel() {
-				continue
-			}
-			if _, err := req.Wait(); err != nil {
-				if firstErr == nil {
-					firstErr = p.phaseError(pi, ri, "recv from", r.recvFrom, err)
-				}
-			} else {
-				p.countRetire()
-			}
-		}
-		if firstErr == nil {
-			firstErr = sendErr
-		}
-		if firstErr != nil {
-			return firstErr
-		}
-		base += len(rounds)
-	}
-	return nil
 }
 
 // roundOps is the typed half of a plan's executor scratch: the persistent
@@ -758,38 +643,6 @@ func roundOpsFor[T any](p *Plan, cache *any) (*roundOps[T], error) {
 func (p *Plan) phaseError(phase, round int, dir string, peer int, err error) error {
 	return fmt.Errorf("cart: %s(%s): phase %d/%d round %d: %s rank %d: %w",
 		p.op, p.algo, phase+1, len(p.phases), round, dir, peer, err)
-}
-
-// roundError is phaseError for the trivial blocking executor, where a
-// round is one send-receive pair.
-func (p *Plan) roundError(phase, round int, r *execRound, err error) error {
-	return fmt.Errorf("cart: %s(%s): phase %d/%d round %d (send to %d, recv from %d): %w",
-		p.op, p.algo, phase+1, len(p.phases), round, r.sendTo, r.recvFrom, err)
-}
-
-// runRoundBlocking performs round i as a blocking exchange, handling
-// ProcNull on either side (mesh boundaries). The slot is quiescent on
-// return either way: after a failed send the receive is withdrawn (or, if
-// already matched, completed) rather than waited — its source may be alive
-// and gone from this schedule.
-func runRoundBlocking[T any](ops *roundOps[T], i int, r *execRound, bufs [][]T, deferScatter bool) error {
-	var rreq *mpi.Request
-	if r.recvFrom != ProcNull {
-		rreq = ops.recv[i].Start(bufs, 0, deferScatter)
-	}
-	if r.sendTo != ProcNull {
-		if err := ops.send[i].Start(bufs, 0); err != nil {
-			if rreq != nil && !rreq.Cancel() {
-				_, _ = rreq.Wait()
-			}
-			return err
-		}
-	}
-	if rreq != nil {
-		_, err := rreq.Wait()
-		return err
-	}
-	return nil
 }
 
 // elemBytesOf returns the in-memory size of one element of type T.

@@ -56,7 +56,8 @@ type Decision struct {
 	// +Inf when combining wins at every size (V ≤ t).
 	CrossoverBytes float64
 	// Pipelined reports whether the combining side is costed as the
-	// DAG-pipelined executor (false only for barriered plans).
+	// DAG-pipelined executor (false for fenced plans: barriered phases or
+	// blocking rounds).
 	Pipelined bool
 	// ProfileSource is the provenance of the machine constants:
 	// "model", "measured" or "default".
@@ -134,7 +135,7 @@ func (p *Plan) choose(elemSize int) *Plan {
 	// excludes zero offsets, which cost a local copy, not a message).
 	dec := Decide(p.op, p.alt.rounds, p.rounds, p.volume,
 		p.comm.grid.NDims(), p.avgBlockElems*float64(elemSize), prof)
-	dec.Pipelined = dec.Chosen == Combining && !p.barriered
+	dec.Pipelined = dec.Chosen == Combining && p.fence == fenceNone
 	chosen := p
 	if dec.Chosen == Trivial {
 		chosen = p.alt

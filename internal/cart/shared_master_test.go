@@ -17,11 +17,11 @@ import (
 
 // initPlan builds the regular plan for (op, algo) with m-element blocks
 // through the public *Init entry points.
-func initPlan(c *Comm, op OpKind, algo Algorithm, m int) (*Plan, error) {
+func initPlan(c *Comm, op OpKind, algo Algorithm, m int, opts ...PlanOption) (*Plan, error) {
 	if op == OpAlltoall {
-		return AlltoallInit(c, m, algo)
+		return AlltoallInit(c, m, algo, opts...)
 	}
-	return AllgatherInit(c, m, algo)
+	return AllgatherInit(c, m, algo, opts...)
 }
 
 // checkPayload executes p once with encoded blocks and compares the
@@ -57,12 +57,11 @@ func checkPayload(c *Comm, p *Plan, m int) error {
 
 // samePlan compares two plans' compile products field by field: every
 // round's peers, tag, composites and volume, the local copies, the temp
-// length, the deferred-scatter flags, the dependency DAG and the pre-post
-// window. It also checks that each plan's flat round pointers address its
+// length, the dependency DAG and the pre-post window. It also checks that each plan's flat round pointers address its
 // own phase arrays in phase-major order.
 func samePlan(got, want *Plan) error {
-	if got.op != want.op || got.algo != want.algo || got.blocking != want.blocking {
-		return fmt.Errorf("op/algo/blocking %v/%v/%v, want %v/%v/%v", got.op, got.algo, got.blocking, want.op, want.algo, want.blocking)
+	if got.op != want.op || got.algo != want.algo {
+		return fmt.Errorf("op/algo %v/%v, want %v/%v", got.op, got.algo, want.op, want.algo)
 	}
 	if got.rounds != want.rounds || got.volume != want.volume || got.tempLen != want.tempLen || got.window != want.window {
 		return fmt.Errorf("rounds/volume/tempLen/window %d/%d/%d/%d, want %d/%d/%d/%d",
@@ -91,9 +90,6 @@ func samePlan(got, want *Plan) error {
 	}
 	if !reflect.DeepEqual(got.copies, want.copies) {
 		return fmt.Errorf("copies %v, want %v", got.copies, want.copies)
-	}
-	if !reflect.DeepEqual(got.deferScatter, want.deferScatter) {
-		return fmt.Errorf("deferScatter %v, want %v", got.deferScatter, want.deferScatter)
 	}
 	if !reflect.DeepEqual(got.deps, want.deps) {
 		return fmt.Errorf("dependency DAGs differ")
@@ -186,7 +182,7 @@ func TestSharedMasterMatchesPerRankCompile(t *testing.T) {
 						if !bound.FromCache() {
 							return fmt.Errorf("rank %d %v(%v): repeat Init missed", c.Rank(), op, algo)
 						}
-						fresh, _, err := c.compilePlan(op, algo, uniformGeometry(op, m), false, nil)
+						fresh, _, err := c.compilePlan(op, algo, uniformGeometry(op, m), nil)
 						if err != nil {
 							return err
 						}
@@ -386,62 +382,73 @@ func TestColdInitCompilesOncePerShape(t *testing.T) {
 
 // TestFailureAttributionText pins the exact text of a failed round's
 // attribution — formatted from the round's peer on the error path only —
-// on a plan bound from a rank-free master. Rank 2 of a 3-rank ring
-// crashes as it enters the exchange; rank 0, which receives from it, must
-// report the phase, round and peer exactly as DESIGN.md §7 quotes them.
+// on a plan bound from a rank-free master, for a barriered combining plan
+// and a trivial one. Rank 2 of a 3-rank ring crashes as it enters the
+// exchange; rank 0, which receives from it, must report the phase, round
+// and peer exactly as DESIGN.md §7 quotes them.
 func TestFailureAttributionText(t *testing.T) {
-	withFreshPlanCache(t, DefaultPlanCacheCapacity)
 	const victim = 2
-	var (
-		atOp   int   // the victim's first exchange operation
-		bound  bool  // rank 0's plan came from the warm cache
-		runErr error // rank 0's Run error
-	)
-	body := func(exchange bool) func(w *mpi.Comm) error {
-		return func(w *mpi.Comm) error {
-			c, err := NeighborhoodCreate(w, []int{3}, nil, vec.Neighborhood{{1}}, nil)
-			if err != nil {
-				return err
+	for _, leg := range []struct {
+		algo Algorithm
+		opts []PlanOption
+	}{
+		{Combining, []PlanOption{WithBarrieredPhases()}},
+		{Trivial, nil},
+	} {
+		t.Run(leg.algo.String(), func(t *testing.T) {
+			withFreshPlanCache(t, DefaultPlanCacheCapacity)
+			var (
+				atOp   int   // the victim's first exchange operation
+				bound  bool  // rank 0's plan came from the warm cache
+				runErr error // rank 0's Run error
+			)
+			body := func(exchange bool) func(w *mpi.Comm) error {
+				return func(w *mpi.Comm) error {
+					c, err := NeighborhoodCreate(w, []int{3}, nil, vec.Neighborhood{{1}}, nil)
+					if err != nil {
+						return err
+					}
+					p, err := AlltoallInit(c, 2, leg.algo, leg.opts...)
+					if err != nil {
+						return err
+					}
+					switch {
+					case !exchange && w.Rank() == victim:
+						atOp = w.OpCount() + 1
+					case exchange && w.Rank() == 0:
+						bound = p.FromCache()
+						runErr = Run(p, make([]int, 2), make([]int, 2))
+					case exchange:
+						_ = Run(p, make([]int, 2), make([]int, 2))
+					}
+					return nil
+				}
 			}
-			p, err := AlltoallInit(c, 2, Combining, WithBarrieredPhases())
-			if err != nil {
-				return err
+			// Calibrate the victim's first exchange operation; this run also
+			// leaves the master in the cache.
+			runWorld(t, 3, body(false))
+			err := mpi.Run(mpi.Config{
+				Procs:   3,
+				Timeout: 20 * time.Second,
+				Faults:  &mpi.FaultPlan{Crashes: []mpi.Crash{{Rank: victim, AtOp: atOp}}},
+			}, body(true))
+			if !mpi.IsRankFailed(err) {
+				t.Fatalf("run error = %v, want only the injected crash", err)
 			}
-			switch {
-			case !exchange && w.Rank() == victim:
-				atOp = w.OpCount() + 1
-			case exchange && w.Rank() == 0:
-				bound = p.FromCache()
-				runErr = Run(p, make([]int, 2), make([]int, 2))
-			case exchange:
-				_ = Run(p, make([]int, 2), make([]int, 2))
+			if !bound {
+				t.Error("rank 0 compiled its plan; want it bound from the warm cache")
 			}
-			return nil
-		}
-	}
-	// Calibrate the victim's first exchange operation; this run also
-	// leaves the master in the cache.
-	runWorld(t, 3, body(false))
-	err := mpi.Run(mpi.Config{
-		Procs:   3,
-		Timeout: 20 * time.Second,
-		Faults:  &mpi.FaultPlan{Crashes: []mpi.Crash{{Rank: victim, AtOp: atOp}}},
-	}, body(true))
-	if !mpi.IsRankFailed(err) {
-		t.Fatalf("run error = %v, want only the injected crash", err)
-	}
-	if !bound {
-		t.Error("rank 0 compiled its plan; want it bound from the warm cache")
-	}
-	// The cart layer's text is pinned byte for byte; the runtime's cause
-	// after it names the operation that observed the crash (the receive's
-	// post or its wait), so it is checked by type and rank.
-	var cause *mpi.RankFailedError
-	if !errors.As(runErr, &cause) || cause.Rank != victim || errors.Unwrap(runErr) != error(cause) {
-		t.Fatalf("rank 0 error %v does not wrap rank %d's failure", runErr, victim)
-	}
-	want := "cart: alltoall(combining): phase 1/1 round 0: recv from rank 2: " + cause.Error()
-	if runErr.Error() != want {
-		t.Errorf("rank 0 error:\n got %s\nwant %s", runErr, want)
+			// The cart layer's text is pinned byte for byte; the runtime's
+			// cause after it names the operation that observed the crash (the
+			// receive's post or its wait), so it is checked by type and rank.
+			var cause *mpi.RankFailedError
+			if !errors.As(runErr, &cause) || cause.Rank != victim || errors.Unwrap(runErr) != error(cause) {
+				t.Fatalf("rank 0 error %v does not wrap rank %d's failure", runErr, victim)
+			}
+			want := "cart: alltoall(" + leg.algo.String() + "): phase 1/1 round 0: recv from rank 2: " + cause.Error()
+			if runErr.Error() != want {
+				t.Errorf("rank 0 error:\n got %s\nwant %s", runErr, want)
+			}
+		})
 	}
 }

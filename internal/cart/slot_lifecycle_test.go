@@ -302,12 +302,18 @@ func TestSlotsQuiescentAfterCrash(t *testing.T) {
 	const procs, victim, m, warm = 9, 4, 2, 50
 	dims := []int{3, 3}
 	nbh := mustStencil(t, 2, 3, -1)
+	// crashAt is the victim's crashing post, counted into the next
+	// execution: a few receives in, but before its first send, so every
+	// survivor misses the victim's block. The blocking executor sends
+	// right after its first receive.
 	for _, tc := range []struct {
-		name string
-		opts []PlanOption
+		name    string
+		opts    []PlanOption
+		crashAt int
 	}{
-		{"pipelined", nil},
-		{"barriered", []PlanOption{WithBarrieredPhases()}},
+		{"pipelined", nil, 3},
+		{"barriered", []PlanOption{WithBarrieredPhases()}, 3},
+		{"blocking", []PlanOption{WithBlockingRounds()}, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// Calibrate: the victim's op count after the warm-up executions.
@@ -328,7 +334,7 @@ func TestSlotsQuiescentAfterCrash(t *testing.T) {
 					}
 				}
 				if w.Rank() == victim {
-					atOp = w.OpCount() + 3 // a few posts into the next execution
+					atOp = w.OpCount() + tc.crashAt
 				}
 				return nil
 			})

@@ -46,20 +46,20 @@ func (s *RecvSlot[T]) Bind(c *Comm, comp *datatype.Composite, src, tag int) erro
 // Start posts the receive into bufs (indexed by the composite's buffer
 // selectors) under tag base+tagOff and returns the slot's request, valid
 // until the next Start. The previous start must have finished: its Wait
-// returned, or Cancel reported true. deferScatter selects when the payload
+// returned, or Cancel reported true. deferred selects when the payload
 // lands in the buffers: false scatters at match time (single-copy fast path
 // — safe only while nothing else touches the target extents between Start
 // and Wait, the receiver's own send-side gathers included); true defers the
 // scatter to Wait, in the receiver's goroutine, which tolerates receive
 // targets overlapping same-phase send sources at the price of messages
 // staging through a pooled wire. Schedule executors choose per round from
-// compile-time overlap analysis.
-func (s *RecvSlot[T]) Start(bufs [][]T, tagOff int, deferScatter bool) *Request {
+// the scatter gates of the compiled dependency DAG.
+func (s *RecvSlot[T]) Start(bufs [][]T, tagOff int, deferred bool) *Request {
 	if s.req.pending != nil && !s.req.finished {
 		panic("mpi: RecvSlot restarted while its previous start is in flight")
 	}
 	s.bufs = bufs
-	return s.post(s.c, s.src, int64(s.tag+tagOff), s, deferScatter)
+	return s.post(s.c, s.src, int64(s.tag+tagOff), s, deferred)
 }
 
 // Request returns the slot's request: the handle of its current (or last)
