@@ -375,15 +375,10 @@ func RunPlan[T any](p *Plan, send, recv []T) error { return cart.Run(p, send, re
 func MeshAlltoallInit(c *Comm, m int) (*Plan, error) { return cart.MeshAlltoallInit(c, m) }
 
 // Future is an in-flight nonblocking collective committed to the
-// communicator's progress engine: Wait blocks for completion, Test polls,
-// Err reports without blocking, Cancel requests local abandonment.
+// communicator's progress engine: Wait blocks for completion.
 // Multiple futures may be in flight per communicator; all ranks must
 // start them in the same order.
 type Future = cart.Future
-
-// ErrFutureCancelled is the typed completion error of a cancelled future
-// (it also matches mpi.ErrCancelled under errors.Is).
-var ErrFutureCancelled = cart.ErrFutureCancelled
 
 // StartPlan begins a nonblocking execution of a plan on the progress
 // engine (wall-clock runs only); complete it with the future's Wait.

@@ -22,7 +22,7 @@ import (
 // attached and prints the merged cross-rank snapshot.
 
 // liveReport fetches /healthz, /debug/state and /debug/stragglers from a
-// debug server (cartbench -serve, or any introspect.Serve) and renders
+// debug server (cartbench -serve, or any introspect server) and renders
 // them as a compact text report.
 func liveReport(w io.Writer, addr string) error {
 	if !strings.Contains(addr, "://") {

@@ -98,6 +98,9 @@ func main() {
 		}
 		var doExchange func(g *cartcc.Grid2D[float64]) error
 		var describe string
+		// coords place this rank's block in the global field: the position
+		// on the communicator the exchange runs on, which may be reordered.
+		var coords []int
 		switch *exchange {
 		case "moore", "faces":
 			useCorners := corners && *exchange == "moore"
@@ -106,6 +109,7 @@ func main() {
 				return err
 			}
 			doExchange = func(g *cartcc.Grid2D[float64]) error { return cartcc.Exchange2D(ex, g) }
+			coords = ex.Comm().Coords()
 			stats := cartcc.ComputeStats(ex.Comm().Neighborhood())
 			describe = fmt.Sprintf("%d neighbors, %d rounds (%s)", stats.TComm, ex.Plan().Rounds(), ex.Plan().Algorithm())
 			if *exchange == "faces" && corners {
@@ -120,18 +124,12 @@ func main() {
 				return err
 			}
 			doExchange = func(g *cartcc.Grid2D[float64]) error { return cartcc.ExchangeTwoPhase2D(ex, g) }
+			coords = ex.Comm().Coords()
 			describe = fmt.Sprintf("two-phase combined schedule, %d elements/exchange", ex.VolumeElements())
 		default:
 			return fmt.Errorf("unknown exchange %q", *exchange)
 		}
 
-		coords, err := w.CartCoords(w.Rank())
-		if err != nil {
-			// The raw world communicator has no topology; derive coords
-			// from the rank directly.
-			coords = []int{w.Rank() / procDims[1], w.Rank() % procDims[1]}
-			err = nil
-		}
 		for i := 0; i < nx; i++ {
 			for j := 0; j < ny; j++ {
 				gr, gc := coords[0]*nx+i, coords[1]*ny+j

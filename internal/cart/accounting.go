@@ -168,7 +168,6 @@ type cartMetrics struct {
 
 	// Progress-engine accounting (engine.go, future.go).
 	asyncStarts   *metrics.Counter
-	asyncCancels  *metrics.Counter
 	asyncInflight *metrics.Gauge
 	futureNs      *metrics.Histogram
 }
@@ -188,7 +187,6 @@ type cartMetrics struct {
 //	cart.tune.pick.trivial   counter   Auto selections that chose the trivial schedule
 //	cart.tune.pick.combining counter   Auto selections that chose a combining schedule
 //	cart.async.started       counter   futures committed to the progress engine
-//	cart.async.cancelled     counter   futures whose Cancel was requested
 //	cart.async.inflight      gauge     peak committed, unretired futures (per communicator pool)
 //	cart.async.future.ns     histogram wall-clock ns from commit to future completion
 func newCartMetrics(set *metrics.Set) *cartMetrics {
@@ -208,7 +206,6 @@ func newCartMetrics(set *metrics.Set) *cartMetrics {
 		pickTrivial:   set.Counter("cart.tune.pick.trivial"),
 		pickCombining: set.Counter("cart.tune.pick.combining"),
 		asyncStarts:   set.Counter("cart.async.started"),
-		asyncCancels:  set.Counter("cart.async.cancelled"),
 		asyncInflight: set.Gauge("cart.async.inflight"),
 		futureNs:      set.Histogram("cart.async.future.ns"),
 	}

@@ -16,10 +16,8 @@ package cart
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"cartcc/internal/mpi"
-	"cartcc/internal/trace"
 	"cartcc/internal/vec"
 )
 
@@ -91,11 +89,8 @@ type Comm struct {
 	nbhHash   uint64
 
 	// eng is the communicator's progress engine (engine.go), created
-	// lazily at the first Start; alog is the optional per-future trace
-	// log its workers record into (atomic: workers read it while the
-	// owning goroutine may attach one).
-	eng  *engine
-	alog atomic.Pointer[trace.AsyncLog]
+	// lazily at the first Start.
+	eng *engine
 }
 
 type planKey struct {
@@ -391,16 +386,9 @@ func (c *Comm) NeighborGet() (sources, sourceWeights, targets, targetWeights []i
 	return sources, sourceWeights, targets, targetWeights
 }
 
-// Targets returns the target neighbor ranks (R + N[i]); the slice must not
-// be modified.
-func (c *Comm) Targets() []int { return c.targets }
-
 // Sources returns the source neighbor ranks (R − N[i]); the slice must not
 // be modified.
 func (c *Comm) Sources() []int { return c.sources }
-
-// DefaultAlgorithm returns the communicator's configured schedule family.
-func (c *Comm) DefaultAlgorithm() Algorithm { return c.algo }
 
 // IsPeriodic reports whether every dimension is periodic (a torus), the
 // precondition of the message-combining schedules.

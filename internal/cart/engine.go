@@ -64,7 +64,7 @@ const (
 	// Start.
 	ownerShift = 20
 	ownerMask  = 1<<ownerShift - 1
-	// wakeToken is the token the commit and cancel paths post to unpark a
+	// wakeToken is the token the commit and crash paths post to unpark a
 	// driver; slot ids start at 1 so no completion token collides.
 	wakeToken = 0
 	// asyncWorkers is the per-engine worker pool size.
@@ -99,8 +99,6 @@ type committed interface {
 	// fromWaitSet attributes a set-level error to the earliest in-flight
 	// round first.
 	fail(err error, fromWaitSet bool)
-	// fut returns the execution's future.
-	fut() *Future
 }
 
 // engine is a communicator's progress engine. Created lazily at the first
@@ -213,9 +211,6 @@ type engineWorker struct {
 	// re-delivered by the next batch regardless.
 	pendingN atomic.Int32
 	ctA      atomic.Int64
-	// cancelReq is set by Future.Cancel so reapCancels scans the slot
-	// table only when a cancellation is actually pending.
-	cancelReq atomic.Bool
 	// committedTo is the highest slot id whose commit has concluded —
 	// registered in pending, or settled inline (begin failed / nothing to
 	// do). Completion tokens for slots above it belong to a commit still
@@ -249,16 +244,6 @@ type slotEnt struct {
 	id      int
 	ex      committed
 	touched bool
-}
-
-// findSlot resolves a slot id, nil when the execution already settled.
-func (w *engineWorker) findSlot(id int) committed {
-	for _, s := range w.slots {
-		if s.id == id {
-			return s.ex
-		}
-	}
-	return nil
 }
 
 // findSlotIdx resolves a slot id to its table index, -1 when settled.
@@ -310,9 +295,7 @@ func (w *engineWorker) register(ex committed) {
 	// pending-queue round trip, and the next drive batch keeps its
 	// lock-free empty-admit fast path. TryLock under mu is safe (it never
 	// blocks, so the mu→driveMu order cannot deadlock with drivers taking
-	// mu under driveMu). A freshly-created future has no external
-	// reference yet, so no cancelled check is needed here — Cancel can
-	// only be called after Start returns.
+	// mu under driveMu).
 	direct := w.driveMu.TryLock()
 	if !direct {
 		// A driver may be mid-batch: publish the pending entry (and
@@ -352,7 +335,7 @@ func (w *engineWorker) settleSlot(slot int) {
 	w.sink.Post(wakeToken)
 }
 
-// wake nudges the resident (cancel requests). A stale token to an exited
+// wake nudges the resident (a sibling's crash). A stale token to an exited
 // worker is drained and skipped by the next incarnation.
 func (w *engineWorker) wake() {
 	w.mu.Lock()
@@ -511,14 +494,13 @@ func (w *engineWorker) helpDrive() (prog uint64) {
 	return w.progress
 }
 
-// drive runs one progress batch under driveMu: admit registrations, reap
-// cancellations, deliver stashed orphans plus everything queued on the
-// sink, then advance each touched execution once — window refill and
-// newly-ready sends — so progress per batch is bounded per execution and
-// arrival order decides service order.
+// drive runs one progress batch under driveMu: admit registrations,
+// deliver stashed orphans plus everything queued on the sink, then advance
+// each touched execution once — window refill and newly-ready sends — so
+// progress per batch is bounded per execution and arrival order decides
+// service order.
 func (w *engineWorker) drive() {
 	ct := w.admit()
-	w.reapCancels()
 	w.touched = w.touched[:0]
 	if len(w.orphans) > 0 {
 		w.orphScr = append(w.orphScr[:0], w.orphans...)
@@ -563,8 +545,7 @@ func (w *engineWorker) drive() {
 
 // admit installs registered executions in the slot table and returns the
 // committedTo watermark for this batch's token classification. Their
-// first window was posted inline at commit; a future cancelled before
-// admission is failed here (its receives are posted and must drain).
+// first window was posted inline at commit.
 func (w *engineWorker) admit() int {
 	// Load ctA BEFORE pendingN (register stores them in the opposite
 	// order): pendingN == 0 then proves the ctA snapshot predates any
@@ -586,28 +567,10 @@ func (w *engineWorker) admit() int {
 	ct = w.committedTo
 	w.mu.Unlock()
 	for _, ex := range w.admitScr {
-		slot := ex.slotID()
-		w.slots = append(w.slots, slotEnt{id: slot, ex: ex})
+		w.slots = append(w.slots, slotEnt{id: ex.slotID(), ex: ex})
 		w.progress++
-		if f := ex.fut(); f.cancelled.Load() {
-			w.retire(slot, ex, f.cancelErr(), false)
-		}
 	}
 	return ct
-}
-
-// reapCancels fails running executions whose future requested
-// cancellation.
-func (w *engineWorker) reapCancels() {
-	if !w.cancelReq.Swap(false) {
-		return
-	}
-	for j := len(w.slots) - 1; j >= 0; j-- {
-		s := w.slots[j]
-		if s.ex.fut().cancelled.Load() {
-			w.retire(s.id, s.ex, s.ex.fut().cancelErr(), false)
-		}
-	}
 }
 
 // deliver routes one completion token: arrivals mark their round and

@@ -1,7 +1,6 @@
 package cart
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -9,7 +8,6 @@ import (
 	"time"
 
 	"cartcc/internal/datatype"
-	"cartcc/internal/mpi"
 	"cartcc/internal/trace"
 )
 
@@ -21,28 +19,21 @@ import (
 // microseconds and parks.
 const waitSpinBudget = 64
 
-// ErrFutureCancelled is the typed error a future completes with after its
-// Cancel was honoured. It wraps mpi.ErrCancelled, so errors.Is matches
-// either sentinel.
-var ErrFutureCancelled = errors.New("future cancelled")
-
 // Future is one in-flight nonblocking collective started with Start (the
 // nonblocking persistent Cartesian collectives the paper anticipates from
 // the MPI Forum). It completes on the communicator's progress engine;
-// Wait, Test and Err are safe from any goroutine.
+// Wait is safe from any goroutine.
 type Future struct {
 	p   *Plan
 	w   *engineWorker
 	seq int // commit sequence on the communicator (also the tag block)
 
-	state     atomic.Uint32 // 0 in flight, 1 settled; err is set before
-	doneMu    sync.Mutex
-	done      chan struct{} // lazily made for parkers; closed at settle
-	err       error
-	cancelled atomic.Bool
+	state  atomic.Uint32 // 0 in flight, 1 settled; err is set before
+	doneMu sync.Mutex
+	done   chan struct{} // lazily made for parkers; closed at settle
+	err    error
 
-	commitNs  int64         // wall clock at commit (latency histogram)
-	commitOff time.Duration // offset on the async trace log's clock
+	commitNs int64 // wall clock at commit (latency histogram)
 }
 
 // Wait blocks until the collective completes and returns its error.
@@ -133,50 +124,6 @@ func (f *Future) Wait() error {
 			return f.err
 		}
 	}
-}
-
-// Test reports without blocking whether the collective has completed, and
-// its error if so.
-func (f *Future) Test() (bool, error) {
-	if f.settled() {
-		return true, f.err
-	}
-	return false, nil
-}
-
-// Err returns the completion error, or nil while the collective is still
-// in flight (use Test to distinguish in-flight from completed-clean).
-func (f *Future) Err() error {
-	if f.settled() {
-		return f.err
-	}
-	return nil
-}
-
-// Cancel requests local abandonment of the collective: the engine fails
-// the execution with ErrFutureCancelled at its next drive batch, and its
-// posted receives (the first window posts inline at Start) are cancelled
-// or drained. Cancellation is local — peers that entered the collective will fail or
-// time out against the missing messages unless they cancel too, so
-// cancelling is only clean when it is collective (every rank cancels) or
-// the world is being torn down anyway. Idempotent; completion of the
-// future races benignly with the request.
-func (f *Future) Cancel() {
-	if f.cancelled.Swap(true) {
-		return
-	}
-	if m := f.p.cmet; m != nil {
-		m.asyncCancels.Inc()
-	}
-	if !f.settled() {
-		f.w.cancelReq.Store(true)
-		f.w.wake()
-	}
-}
-
-// cancelErr builds the future's typed cancellation error.
-func (f *Future) cancelErr() error {
-	return fmt.Errorf("cart: %s(%s): %w: %w", f.p.op, f.p.algo, ErrFutureCancelled, mpi.ErrCancelled)
 }
 
 // settled reports completion; a true return makes f.err readable (the
@@ -305,8 +252,6 @@ type asyncExec[T any] struct {
 // round index collides with it.
 const leafToken = ownerMask
 
-func (e *asyncExec[T]) fut() *Future { return e.f }
-
 func (e *asyncExec[T]) slotID() int { return e.slot }
 
 // begin posts the execution's first receive window (attached to the
@@ -396,13 +341,13 @@ func (e *asyncExec[T]) settle(err error) {
 	e.recv = nil
 	e.bufs[0], e.bufs[1], e.bufs[2] = nil, nil, nil
 	p.releaseAsyncScratch(e.scr)
-	p.countAsyncRetire(f, err)
+	p.countAsyncRetire(f)
 	f.complete(err)
 }
 
 // countAsyncRetire updates the engine accounting and trace at future
 // completion.
-func (p *Plan) countAsyncRetire(f *Future, err error) {
+func (p *Plan) countAsyncRetire(f *Future) {
 	eng := p.comm.eng
 	eng.inflight.Add(-1)
 	lat := time.Now().UnixNano() - f.commitNs
@@ -411,16 +356,6 @@ func (p *Plan) countAsyncRetire(f *Future, err error) {
 	}
 	mc := p.comm.comm
 	mc.World().Flight().Record(mc.WorldRank(mc.Rank()), trace.FlightFutureRetire, -1, 0, lat, int64(f.seq))
-	if l := p.comm.alog.Load(); l != nil {
-		l.Add(trace.AsyncSpan{
-			Rank:  p.comm.comm.Rank(),
-			Seq:   f.seq,
-			Op:    fmt.Sprintf("%s(%s)", p.op, p.algo),
-			Err:   err != nil,
-			Start: f.commitOff,
-			End:   l.Now(),
-		})
-	}
 }
 
 // Start commits a nonblocking execution of the plan to the communicator's
@@ -475,9 +410,6 @@ func Start[T any](p *Plan, send, recv []T) (*Future, error) {
 		}
 	}
 	f := &Future{p: p, w: w, seq: seq, commitNs: time.Now().UnixNano()}
-	if l := p.comm.alog.Load(); l != nil {
-		f.commitOff = l.Now()
-	}
 	ex, _ := scr.exec.(*asyncExec[T])
 	if ex == nil {
 		ex = &asyncExec[T]{}
@@ -548,12 +480,4 @@ func IcartAllgather[T any](c *Comm, send, recv []T) (*Future, error) {
 		return nil, err
 	}
 	return Start(p, send, recv)
-}
-
-// SetAsyncLog attaches a per-future trace log to the communicator's
-// engine executions (nil detaches). Safe to set from the communicator's
-// goroutine while futures are in flight — spans record under the log's
-// own lock.
-func (c *Comm) SetAsyncLog(l *trace.AsyncLog) {
-	c.alog.Store(l)
 }

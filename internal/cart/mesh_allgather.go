@@ -294,16 +294,3 @@ func childContaining(n *TreeNode, i int) *TreeNode {
 	}
 	return nil
 }
-
-// MeshAllgatherInit precomputes the mesh-aware message-combining allgather
-// plan for blocks of m elements. On a torus it matches AllgatherInit with
-// Combining in rounds and volume.
-func MeshAllgatherInit(c *Comm, m int) (*Plan, error) {
-	p, err := c.compileMeshAllgather(uniformGeometry(OpAllgather, m))
-	if err != nil {
-		return nil, err
-	}
-	t := len(c.nbh)
-	p.setLens(m, t*m)
-	return p, nil
-}

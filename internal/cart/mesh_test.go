@@ -128,6 +128,17 @@ func TestMeshCombiningRandom(t *testing.T) {
 	}
 }
 
+// meshAllgatherPlan compiles the mesh-aware combining allgather directly,
+// on any grid: on a torus it must match the torus combining plan.
+func meshAllgatherPlan(c *Comm, m int) (*Plan, error) {
+	p, err := c.compileMeshAllgather(uniformGeometry(OpAllgather, m))
+	if err != nil {
+		return nil, err
+	}
+	p.setLens(m, len(c.nbh)*m)
+	return p, nil
+}
+
 // checkMeshAllgather mirrors checkMeshAlltoall for the allgather family.
 func checkMeshAllgather(t *testing.T, dims []int, periods []bool, nbh vec.Neighborhood, m int) {
 	t.Helper()
@@ -140,7 +151,7 @@ func checkMeshAllgather(t *testing.T, dims []int, periods []bool, nbh vec.Neighb
 		for e := 0; e < m; e++ {
 			send[e] = encode(w.Rank(), 0, e)
 		}
-		plan, err := MeshAllgatherInit(c, m)
+		plan, err := meshAllgatherPlan(c, m)
 		if err != nil {
 			return err
 		}
@@ -195,7 +206,7 @@ func TestMeshAllgatherTorusDegenerate(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		mesh, err := MeshAllgatherInit(c, 1)
+		mesh, err := meshAllgatherPlan(c, 1)
 		if err != nil {
 			return err
 		}
@@ -239,7 +250,7 @@ func TestMeshAllgatherBoundaryVolumeShrinks(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		p, err := MeshAllgatherInit(c, 1)
+		p, err := meshAllgatherPlan(c, 1)
 		if err != nil {
 			return err
 		}

@@ -486,15 +486,15 @@ func TestPlanAccessors(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if p.Rounds() != 4 || p.Volume() != 12 || p.Algorithm() != Combining || p.Op() != OpAlltoall {
-			return fmt.Errorf("plan accessors: rounds=%d vol=%d algo=%v op=%v", p.Rounds(), p.Volume(), p.Algorithm(), p.Op())
+		if p.Rounds() != 4 || p.Volume() != 12 || p.Algorithm() != Combining || p.op != OpAlltoall {
+			return fmt.Errorf("plan accessors: rounds=%d vol=%d algo=%v op=%v", p.Rounds(), p.Volume(), p.Algorithm(), p.op)
 		}
 		tp, err := AllgatherInit(c, 1, Trivial)
 		if err != nil {
 			return err
 		}
-		if tp.Rounds() != 8 || tp.Op() != OpAllgather {
-			return fmt.Errorf("trivial plan: rounds=%d op=%v", tp.Rounds(), tp.Op())
+		if tp.Rounds() != 8 || tp.op != OpAllgather {
+			return fmt.Errorf("trivial plan: rounds=%d op=%v", tp.Rounds(), tp.op)
 		}
 		return nil
 	})
@@ -694,11 +694,11 @@ func TestAccessorsAndStringers(t *testing.T) {
 		if c.Size() != 9 {
 			return fmt.Errorf("Size = %d", c.Size())
 		}
-		if c.DefaultAlgorithm() != Trivial {
-			return fmt.Errorf("DefaultAlgorithm = %v", c.DefaultAlgorithm())
+		if c.algo != Trivial {
+			return fmt.Errorf("configured algorithm = %v", c.algo)
 		}
-		if len(c.Targets()) != 9 || len(c.Sources()) != 9 {
-			return fmt.Errorf("Targets/Sources lengths")
+		if len(c.targets) != 9 || len(c.Sources()) != 9 {
+			return fmt.Errorf("targets/Sources lengths")
 		}
 		if !c.IsPeriodic() {
 			return fmt.Errorf("torus not periodic")

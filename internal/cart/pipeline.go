@@ -155,7 +155,8 @@ type pipeExec[T any] struct {
 	// the last leaf (and the attach-time bias) has been accounted.
 	leafGate *atomic.Int32
 	// rlog is the plan's round log for Run. Async executions leave it nil:
-	// the RoundLog is single-goroutine (AsyncLog is the async trace story).
+	// the RoundLog is single-goroutine (futures trace through the flight
+	// recorder's FlightFutureRetire events).
 	rlog *trace.RoundLog
 	// fence is the posting policy; inOrder selects flat-order completion
 	// and ascending send posting. The engine leaves both zero.

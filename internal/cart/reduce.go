@@ -63,9 +63,6 @@ func (p *ReducePlan) Rounds() int { return p.rounds }
 // Volume returns the per-process communication volume in blocks.
 func (p *ReducePlan) Volume() int { return p.volume }
 
-// Algorithm returns the schedule family of the plan.
-func (p *ReducePlan) Algorithm() Algorithm { return p.algo }
-
 // NeighborReduceInit precomputes a reduction plan for blocks of m
 // elements. Auto picks Combining (like the allgather, its volume matches
 // the trivial algorithm's on stencil families, so it wins at every block

@@ -145,7 +145,7 @@ func TestNeighborReduceCombiningEconomics(t *testing.T) {
 		if triv.Rounds() != 26 || triv.Volume() != 26 {
 			return fmt.Errorf("trivial reduce: %d rounds volume %d, want 26/26", triv.Rounds(), triv.Volume())
 		}
-		if comb.Algorithm() != Combining || triv.Algorithm() != Trivial {
+		if comb.algo != Combining || triv.algo != Trivial {
 			return fmt.Errorf("algorithm accessors wrong")
 		}
 		return nil

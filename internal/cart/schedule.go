@@ -414,9 +414,6 @@ func (p *Plan) Volume() int { return p.volume }
 // Algorithm returns the schedule family the plan was compiled from.
 func (p *Plan) Algorithm() Algorithm { return p.algo }
 
-// Op returns the collective family of the plan.
-func (p *Plan) Op() OpKind { return p.op }
-
 // Messages returns the number of point-to-point messages this process
 // posts per execution (its non-skipped send rounds) — on meshes this can
 // be below Rounds(), whose count is the interior upper bound.

@@ -73,9 +73,9 @@ type planSrc struct {
 
 // Inspector is the introspection plane for one world: it owns the HTTP
 // handlers and the post-mortem dumper. Create with New, point it at a
-// world with Bind (or use Serve, which does both), and optionally attach
-// Cartesian communicators and plans so the engine and schedule layers
-// show up in /debug/state and /debug/stragglers.
+// world with Bind, and optionally attach Cartesian communicators and plans
+// so the engine and schedule layers show up in /debug/state and
+// /debug/stragglers.
 //
 // All methods are safe for concurrent use; Bind may race with handlers
 // (a request before Bind reports "no world bound").
@@ -92,12 +92,9 @@ type Inspector struct {
 	// hook, but concurrent primaries can).
 	dumped  atomic.Bool
 	dumpSeq atomic.Int64
-	// lastDump is the most recent bundle path, for tests and logs.
-	lastDump atomic.Pointer[string]
 }
 
-// New creates an Inspector. Bind a world before serving, or let Serve do
-// it.
+// New creates an Inspector. Bind a world before serving.
 func New(opts Options) *Inspector {
 	if opts.StallAfter <= 0 {
 		opts.StallAfter = DefaultStallAfter
@@ -109,9 +106,6 @@ func New(opts Options) *Inspector {
 // the run body (rank 0 typically binds and starts the server). Binding a
 // second world replaces the first.
 func (in *Inspector) Bind(w *mpi.World) { in.world.Store(w) }
-
-// World returns the bound world, nil before Bind.
-func (in *Inspector) World() *mpi.World { return in.world.Load() }
 
 // AttachEngine registers a Cartesian communicator so its progress-engine
 // snapshot appears under the given name in /debug/state. Typically one
@@ -322,23 +316,6 @@ type Server struct {
 
 	ln  net.Listener
 	srv *http.Server
-}
-
-// Serve binds the inspector plane to a world and serves it on addr
-// (empty means an ephemeral localhost port). The server runs in a
-// background goroutine until Close. This is the one-line opt-in:
-//
-//	srv, _ := introspect.Serve(comm.World(), "127.0.0.1:6060")
-//	defer srv.Close()
-func Serve(w *mpi.World, addr string) (*Server, error) {
-	return ServeWith(w, addr, Options{})
-}
-
-// ServeWith is Serve with explicit options.
-func ServeWith(w *mpi.World, addr string, opts Options) (*Server, error) {
-	in := New(opts)
-	in.Bind(w)
-	return in.ListenAndServe(addr)
 }
 
 // ListenAndServe starts serving the inspector's handler on addr (empty

@@ -318,7 +318,9 @@ func TestServeListensAndCloses(t *testing.T) {
 		if w.Rank() != 0 {
 			return nil
 		}
-		srv, err := Serve(w.World(), "127.0.0.1:0")
+		in := New(Options{})
+		in.Bind(w.World())
+		srv, err := in.ListenAndServe("127.0.0.1:0")
 		if err != nil {
 			return err
 		}

@@ -61,25 +61,7 @@ func (in *Inspector) FailureHook(rank int, err error) {
 	in.writeBundle(rank, err)
 }
 
-// Dump writes a post-mortem bundle now, regardless of failure state —
-// the manual variant for "the run looks wrong, snapshot it".
-func (in *Inspector) Dump(rank int, failure error) (string, error) {
-	if in.opts.DumpDir == "" {
-		return "", fmt.Errorf("introspect: no dump directory configured")
-	}
-	return in.writeBundle(rank, failure)
-}
-
-// LastDump returns the path of the most recent bundle written by this
-// inspector, "" if none.
-func (in *Inspector) LastDump() string {
-	if p := in.lastDump.Load(); p != nil {
-		return *p
-	}
-	return ""
-}
-
-func (in *Inspector) writeBundle(rank int, failure error) (string, error) {
+func (in *Inspector) writeBundle(rank int, failure error) error {
 	b := Bundle{
 		Version:   BundleVersion,
 		WrittenAt: time.Now(),
@@ -100,22 +82,21 @@ func (in *Inspector) writeBundle(rank int, failure error) (string, error) {
 	name := fmt.Sprintf("postmortem-%s-%d.json", b.WrittenAt.UTC().Format("20060102T150405.000000000"), seq)
 	path := filepath.Join(in.opts.DumpDir, name)
 	if err := os.MkdirAll(in.opts.DumpDir, 0o755); err != nil {
-		return "", fmt.Errorf("introspect: post-mortem dir: %w", err)
+		return fmt.Errorf("introspect: post-mortem dir: %w", err)
 	}
 	data, err := json.MarshalIndent(&b, "", "  ")
 	if err != nil {
-		return "", fmt.Errorf("introspect: post-mortem encode: %w", err)
+		return fmt.Errorf("introspect: post-mortem encode: %w", err)
 	}
 	// Write-then-rename so a reader never sees a torn bundle.
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return "", fmt.Errorf("introspect: post-mortem write: %w", err)
+		return fmt.Errorf("introspect: post-mortem write: %w", err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
-		return "", fmt.Errorf("introspect: post-mortem rename: %w", err)
+		return fmt.Errorf("introspect: post-mortem rename: %w", err)
 	}
-	in.lastDump.Store(&path)
-	return path, nil
+	return nil
 }
 
 // ReadBundle loads a post-mortem bundle from disk.

@@ -46,14 +46,7 @@ func TestHungWorldWritesPostMortem(t *testing.T) {
 		t.Fatalf("run error is %v, want a DeadlockError", err)
 	}
 
-	path := insp.LastDump()
-	if path == "" {
-		t.Fatal("failure hook wrote no bundle")
-	}
-	if filepath.Dir(path) != dir {
-		t.Fatalf("bundle %s outside dump dir %s", path, dir)
-	}
-	b, err := ReadBundle(path)
+	b, err := ReadBundle(onlyBundle(t, dir))
 	if err != nil {
 		t.Fatalf("bundle does not parse: %v", err)
 	}
@@ -127,7 +120,7 @@ func TestRankFailureWritesPostMortem(t *testing.T) {
 	if err == nil {
 		t.Fatal("failed run reported success")
 	}
-	b, err := ReadBundle(insp.LastDump())
+	b, err := ReadBundle(onlyBundle(t, dir))
 	if err != nil {
 		t.Fatalf("bundle: %v", err)
 	}
@@ -142,28 +135,37 @@ func TestRankFailureWritesPostMortem(t *testing.T) {
 	}
 }
 
-func TestManualDumpAndNoDir(t *testing.T) {
-	in := New(Options{})
-	if _, err := in.Dump(0, nil); err == nil {
-		t.Fatal("Dump without a dump dir must fail")
+// onlyBundle returns the path of the one post-mortem bundle in dir.
+func onlyBundle(t *testing.T, dir string) string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "postmortem-*.json"))
+	if err != nil {
+		t.Fatal(err)
 	}
+	if len(paths) != 1 {
+		t.Fatalf("dump dir holds bundles %q, want exactly 1", paths)
+	}
+	return paths[0]
+}
+
+func TestFailureHookNoDirAndRunWideBundle(t *testing.T) {
+	cwd := t.TempDir()
+	t.Chdir(cwd)
+	in := New(Options{})
 	in.FailureHook(0, errors.New("x")) // no dir: silently skipped
-	if in.LastDump() != "" {
-		t.Fatal("hook without a dump dir must not record a bundle")
+	if entries, err := os.ReadDir(cwd); err != nil || len(entries) != 0 {
+		t.Fatalf("hook without a dump dir wrote %d file(s) (err %v)", len(entries), err)
 	}
 
 	dir := t.TempDir()
 	in2 := New(Options{DumpDir: dir})
-	path, err := in2.Dump(-1, errors.New("manual snapshot"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ReadBundle(path)
+	in2.FailureHook(-1, errors.New("manual snapshot"))
+	b, err := ReadBundle(onlyBundle(t, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b.Rank != -1 || !strings.Contains(b.Error, "manual") {
-		t.Fatalf("manual bundle = rank %d error %q", b.Rank, b.Error)
+		t.Fatalf("unattributed bundle = rank %d error %q", b.Rank, b.Error)
 	}
 	if !strings.Contains(b.Format(), "run-wide") {
 		t.Fatal("unattributed rank must format as run-wide")

@@ -145,33 +145,6 @@ func Gather[T any](c *Comm, send, recv []T, root int) error {
 	return Waitall(reqs...)
 }
 
-// Scatter distributes root's send buffer in equally-sized blocks to all
-// processes in rank order; each receives its block in recv.
-func Scatter[T any](c *Comm, send, recv []T, root int) error {
-	if err := c.checkRank(root, "root"); err != nil {
-		return err
-	}
-	cc := c.coll()
-	blk := len(recv)
-	if cc.rank == root {
-		if len(send) < cc.size*blk {
-			return fmt.Errorf("mpi: Scatter send length %d < %d", len(send), cc.size*blk)
-		}
-		for r := 0; r < cc.size; r++ {
-			if r == root {
-				copy(recv, send[r*blk:(r+1)*blk])
-				continue
-			}
-			if err := Send(cc, send, datatype.Contiguous(r*blk, blk), r, 5); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	_, err := Recv(cc, recv, datatype.Contiguous(0, blk), root, 5)
-	return err
-}
-
 // Allgather collects the equally-sized send blocks of all processes into
 // recv on every process, in rank order. Ring algorithm: p−1 rounds of
 // neighbor exchange.
@@ -220,101 +193,6 @@ func Alltoall[T any](c *Comm, send, recv []T) error {
 	}
 	for r := 0; r < p; r++ {
 		req, err := Isend(cc, send, datatype.Contiguous(r*blk, blk), r, 7)
-		if err != nil {
-			return err
-		}
-		reqs = append(reqs, req)
-	}
-	return Waitall(reqs...)
-}
-
-// Gatherv collects blocks of varying size at root: process r contributes
-// len(send) elements, placed at recvDispls[r] in recv; recvCounts[r] must
-// equal the contribution's length. Only root reads recvCounts/recvDispls
-// and recv. Mirrors MPI_Gatherv.
-func Gatherv[T any](c *Comm, send, recv []T, recvCounts, recvDispls []int, root int) error {
-	if err := c.checkRank(root, "root"); err != nil {
-		return err
-	}
-	cc := c.coll()
-	if cc.rank != root {
-		return Send(cc, send, datatype.Contiguous(0, len(send)), root, 10)
-	}
-	if len(recvCounts) != cc.size || len(recvDispls) != cc.size {
-		return fmt.Errorf("mpi: Gatherv: %d counts / %d displs for %d ranks", len(recvCounts), len(recvDispls), cc.size)
-	}
-	reqs := make([]*Request, 0, cc.size)
-	for r := 0; r < cc.size; r++ {
-		l := datatype.Contiguous(recvDispls[r], recvCounts[r])
-		if err := l.Validate(len(recv)); err != nil {
-			return err
-		}
-		if r == root {
-			if recvCounts[r] != len(send) {
-				return fmt.Errorf("mpi: Gatherv: root count %d != contribution %d", recvCounts[r], len(send))
-			}
-			copy(recv[recvDispls[r]:recvDispls[r]+recvCounts[r]], send)
-			continue
-		}
-		req, err := Irecv(cc, recv, l, r, 10)
-		if err != nil {
-			return err
-		}
-		reqs = append(reqs, req)
-	}
-	return Waitall(reqs...)
-}
-
-// Scatterv distributes blocks of varying size from root: process r
-// receives sendCounts[r] elements from sendDispls[r] of root's send
-// buffer into recv (which must hold exactly its count). Mirrors
-// MPI_Scatterv.
-func Scatterv[T any](c *Comm, send []T, sendCounts, sendDispls []int, recv []T, root int) error {
-	if err := c.checkRank(root, "root"); err != nil {
-		return err
-	}
-	cc := c.coll()
-	if cc.rank == root {
-		if len(sendCounts) != cc.size || len(sendDispls) != cc.size {
-			return fmt.Errorf("mpi: Scatterv: %d counts / %d displs for %d ranks", len(sendCounts), len(sendDispls), cc.size)
-		}
-		for r := 0; r < cc.size; r++ {
-			l := datatype.Contiguous(sendDispls[r], sendCounts[r])
-			if err := l.Validate(len(send)); err != nil {
-				return err
-			}
-			if r == root {
-				copy(recv, send[sendDispls[r]:sendDispls[r]+sendCounts[r]])
-				continue
-			}
-			if err := Send(cc, send, l, r, 11); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	_, err := Recv(cc, recv, datatype.Contiguous(0, len(recv)), root, 11)
-	return err
-}
-
-// Alltoallv performs the dense personalized exchange with per-peer counts
-// and displacements, mirroring MPI_Alltoallv.
-func Alltoallv[T any](c *Comm, send []T, sendCounts, sendDispls []int, recv []T, recvCounts, recvDispls []int) error {
-	cc := c.coll()
-	p := cc.size
-	if len(sendCounts) != p || len(sendDispls) != p || len(recvCounts) != p || len(recvDispls) != p {
-		return fmt.Errorf("mpi: Alltoallv: count/displ arrays must have %d entries", p)
-	}
-	reqs := make([]*Request, 0, 2*p)
-	for r := 0; r < p; r++ {
-		req, err := Irecv(cc, recv, datatype.Contiguous(recvDispls[r], recvCounts[r]), r, 12)
-		if err != nil {
-			return err
-		}
-		reqs = append(reqs, req)
-	}
-	for r := 0; r < p; r++ {
-		req, err := Isend(cc, send, datatype.Contiguous(sendDispls[r], sendCounts[r]), r, 12)
 		if err != nil {
 			return err
 		}

@@ -172,56 +172,6 @@ func TestSendrecvErrorPaths(t *testing.T) {
 	})
 }
 
-func TestWaitany(t *testing.T) {
-	run(t, 3, func(c *Comm) error {
-		if c.Rank() == 0 {
-			// Post receives from both peers; rank 2 sends first (rank 1
-			// delays), so Waitany should complete index 1 first.
-			buf1 := make([]int, 1)
-			buf2 := make([]int, 1)
-			r1, err := Irecv(c, buf1, contiguousN(1), 1, 0)
-			if err != nil {
-				return err
-			}
-			r2, err := Irecv(c, buf2, contiguousN(1), 2, 0)
-			if err != nil {
-				return err
-			}
-			idx, st, err := Waitany(r1, r2)
-			if err != nil {
-				return err
-			}
-			if idx != 1 || st.Source != 2 || buf2[0] != 2 {
-				return fmt.Errorf("first completion idx=%d st=%+v buf2=%v", idx, st, buf2)
-			}
-			idx, _, err = Waitany(r1, r2)
-			if err != nil {
-				return err
-			}
-			if idx != 0 || buf1[0] != 1 {
-				return fmt.Errorf("second completion idx=%d buf1=%v", idx, buf1)
-			}
-			if idx, _, _ := Waitany(r1, r2); idx != -1 {
-				return fmt.Errorf("exhausted Waitany returned %d", idx)
-			}
-			return nil
-		}
-		if c.Rank() == 1 {
-			time.Sleep(30 * time.Millisecond)
-		}
-		return SendSlice(c, []int{c.Rank()}, 0, 0)
-	})
-}
-
-func TestWaitanyNilAndEmpty(t *testing.T) {
-	if idx, _, _ := Waitany(nil, nil); idx != -1 {
-		t.Errorf("Waitany(nil) = %d", idx)
-	}
-	if idx, _, _ := Waitany(); idx != -1 {
-		t.Errorf("Waitany() = %d", idx)
-	}
-}
-
 // TestPersistentSendRecv restarts one bound send slot and one bound
 // receive slot many times: every start reuses the slot's request, pending
 // receive and envelope, alternating match-time and Wait-time scatter, with

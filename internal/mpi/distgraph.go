@@ -54,9 +54,6 @@ func DistGraphCreateAdjacent(c *Comm, sources, sourceWeights, targets, targetWei
 	return nc, nil
 }
 
-// Graph returns the distributed-graph topology of the communicator, or nil.
-func (c *Comm) Graph() *GraphInfo { return c.graph }
-
 // DistGraphNeighborsCount returns the in- and out-degree of the calling
 // process, like MPI_Dist_graph_neighbors_count.
 func (c *Comm) DistGraphNeighborsCount() (indegree, outdegree int, err error) {

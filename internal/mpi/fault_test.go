@@ -64,10 +64,10 @@ func TestOpsOnDeadRankFailFast(t *testing.T) {
 			return SendSlice(c, []int{1}, 0, 0)
 		case 0:
 			// Wait until the detector sees the failure, then probe both ops.
-			for len(c.FailedRanks()) == 0 {
+			for len(c.w.FailedRanks()) == 0 {
 				time.Sleep(time.Millisecond)
 			}
-			if got := c.FailedRanks(); len(got) != 1 || got[0] != 2 {
+			if got := c.w.FailedRanks(); len(got) != 1 || got[0] != 2 {
 				return fmt.Errorf("FailedRanks = %v, want [2]", got)
 			}
 			if err := SendSlice(c, []int{1}, 2, 0); !IsRankFailed(err) {
@@ -220,7 +220,7 @@ func TestAgreeExcludesDead(t *testing.T) {
 		if c.Rank() == 1 {
 			return SendSlice(c, []int{1}, 0, 0) // trips the crash
 		}
-		for len(c.FailedRanks()) == 0 {
+		for len(c.w.FailedRanks()) == 0 {
 			time.Sleep(time.Millisecond)
 		}
 		got, err := c.Agree(1)
@@ -248,7 +248,7 @@ func TestShrinkRebuildsComm(t *testing.T) {
 		if c.Rank() == 2 {
 			return SendSlice(c, []int{1}, 0, 0)
 		}
-		for len(c.FailedRanks()) == 0 {
+		for len(c.w.FailedRanks()) == 0 {
 			time.Sleep(time.Millisecond)
 		}
 		s, err := c.Shrink()

@@ -35,10 +35,6 @@ func (c *Comm) ft() *Comm {
 	return &cc
 }
 
-// FailedRanks returns the sorted world ranks that have failed so far —
-// the runtime's (perfect) failure detector.
-func (c *Comm) FailedRanks() []int { return c.w.deadRanks() }
-
 // liveMembers returns the communicator ranks whose process is alive, in
 // rank order.
 func (c *Comm) liveMembers() []int {

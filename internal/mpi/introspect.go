@@ -17,7 +17,7 @@ import (
 // snapshot matters most.
 
 // World returns the world the communicator belongs to — the handle the
-// introspection plane hangs off (introspect.Serve(comm.World())).
+// introspection plane hangs off (introspect's Inspector.Bind).
 func (c *Comm) World() *World { return c.w }
 
 // Flight returns the world's flight recorder (nil when disabled).

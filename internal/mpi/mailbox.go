@@ -232,9 +232,9 @@ type mailbox struct {
 	lastSeq map[int]uint64
 }
 
-// probeScanned counts arrival-list entries examined by wildcard probes and
-// wildcard matching (a test hook: the Iprobe regression test asserts the
-// exact-match path examines none of a deep unexpected queue).
+// probeScanned counts arrival-list entries examined by wildcard matching
+// (a test hook: the deep-queue regression test asserts that an exact
+// receive examines none of a deep unexpected queue).
 var probeScanned atomic.Int64
 
 // finish completes a match outside the mailbox lock, on the envelope
@@ -535,29 +535,6 @@ func (b *mailbox) post(r *pendingRecv) {
 		b.exact[k] = q
 	}
 	b.mu.Unlock()
-}
-
-// probe reports whether a matching message has arrived, without removing
-// it, returning its envelope. Mirrors MPI_Iprobe. A fully-specified probe
-// is an O(1) index lookup regardless of the unexpected-queue depth; only
-// wildcard probes scan.
-func (b *mailbox) probe(ctx, epoch int64, src, tag int) (found bool, msgSrc, msgTag, elems int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if src != AnySource && tag != AnyTag {
-		if m := b.arrivedIdx[mkey{ctx, epoch, src, tag}].head; m != nil {
-			return true, m.src, m.tag, m.elems
-		}
-		return false, 0, 0, 0
-	}
-	r := pendingRecv{ctx: ctx, epoch: epoch, src: src, tag: tag}
-	for m := b.arrHead; m != nil; m = m.succ {
-		probeScanned.Add(1)
-		if r.matches(m) {
-			return true, m.src, m.tag, m.elems
-		}
-	}
-	return false, 0, 0, 0
 }
 
 // poisonMatching fails every pending receive for which cond returns a

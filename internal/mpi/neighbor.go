@@ -195,47 +195,6 @@ func NeighborAllgather[T any](c *Comm, send, recv []T) error {
 	return err
 }
 
-// IneighborAllgatherv starts a nonblocking irregular sparse allgather with
-// per-source receive counts and displacements.
-func IneighborAllgatherv[T any](c *Comm, send []T, recv []T, recvCounts, recvDispls []int) (*Request, error) {
-	g, err := c.graphTopology()
-	if err != nil {
-		return nil, err
-	}
-	if len(recvCounts) != len(g.Sources) || len(recvDispls) != len(g.Sources) {
-		return nil, fmt.Errorf("mpi: IneighborAllgatherv: %d counts / %d displs for %d sources",
-			len(recvCounts), len(recvDispls), len(g.Sources))
-	}
-	cc := c.coll()
-	reqs := make([]*Request, 0, len(g.Sources)+len(g.Targets))
-	for i, src := range g.Sources {
-		req, err := Irecv(cc, recv, datatype.Contiguous(recvDispls[i], recvCounts[i]), src, tagNeighborAllgather)
-		if err != nil {
-			return nil, err
-		}
-		reqs = append(reqs, req)
-	}
-	whole := datatype.Contiguous(0, len(send))
-	for _, dst := range g.Targets {
-		req, err := Isend(cc, send, whole, dst, tagNeighborAllgather)
-		if err != nil {
-			return nil, err
-		}
-		reqs = append(reqs, req)
-	}
-	return aggregate(c, reqs), nil
-}
-
-// NeighborAllgatherv is the blocking form of IneighborAllgatherv.
-func NeighborAllgatherv[T any](c *Comm, send []T, recv []T, recvCounts, recvDispls []int) error {
-	req, err := IneighborAllgatherv(c, send, recv, recvCounts, recvDispls)
-	if err != nil {
-		return err
-	}
-	_, err = req.Wait()
-	return err
-}
-
 // neighborBlock derives and validates the common block size of the regular
 // neighborhood operations.
 func neighborBlock(sendLen, recvLen, outdeg, indeg int, op string) (int, error) {

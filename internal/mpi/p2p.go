@@ -368,19 +368,3 @@ func Sendrecv[T any](c *Comm, sendBuf []T, sl datatype.Layout, dst, sendTag int,
 	c.rs.putRecv(o)
 	return st, err
 }
-
-// Iprobe checks nonblockingly for a matching incoming message and returns
-// its envelope if one has arrived. A fully-specified (src, tag) probe is an
-// O(1) index lookup however deep the unexpected queue is.
-func Iprobe(c *Comm, src, tag int) (found bool, st Status, err error) {
-	if src != AnySource {
-		if err := c.checkRank(src, "source"); err != nil {
-			return false, Status{}, err
-		}
-	}
-	found, msgSrc, msgTag, elems := c.rs.box.probe(c.ctx, c.epoch, src, tag)
-	if !found {
-		return false, Status{}, nil
-	}
-	return true, Status{Source: msgSrc, Tag: msgTag, Count: elems}, nil
-}

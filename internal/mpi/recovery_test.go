@@ -44,13 +44,13 @@ func TestDrainBelowEpochReleasesOnce(t *testing.T) {
 	if fresh != 0 || ft != 0 {
 		t.Fatalf("surviving messages released (fresh=%d ft=%d); want 0", fresh, ft)
 	}
-	if found, _, _, _ := box.probe(1, 1, 0, 7); !found {
+	if found, _ := box.arrived(1, 1, 0, 7); !found {
 		t.Fatal("new-epoch message did not survive the drain")
 	}
-	if found, _, _, _ := box.probe(ftCtxBit|1, 0, 0, agreeTag); !found {
+	if found, _ := box.arrived(ftCtxBit|1, 0, 0, agreeTag); !found {
 		t.Fatal("ft-plane message did not survive the drain")
 	}
-	if found, _, _, _ := box.probe(1, 0, 0, 7); found {
+	if found, _ := box.arrived(1, 0, 0, 7); found {
 		t.Fatal("stale message still visible after the drain")
 	}
 	// A second drain to the same epoch is a no-op: nothing double-released.
@@ -75,7 +75,7 @@ func TestEpochFloorArrivalDiscardReleasesOnce(t *testing.T) {
 	if stale != 1 {
 		t.Fatalf("stale arrival released %d times; want exactly 1", stale)
 	}
-	if found, _, _, _ := box.probe(1, 1, 0, 7); found {
+	if found, _ := box.arrived(1, 1, 0, 7); found {
 		t.Fatal("stale arrival queued despite the epoch floor")
 	}
 
@@ -83,7 +83,7 @@ func TestEpochFloorArrivalDiscardReleasesOnce(t *testing.T) {
 	if ft != 0 {
 		t.Fatalf("ft-plane arrival released %d times before consumption; want 0", ft)
 	}
-	if found, _, _, _ := box.probe(ftCtxBit|1, 0, 0, shrinkTag); !found {
+	if found, _ := box.arrived(ftCtxBit|1, 0, 0, shrinkTag); !found {
 		t.Fatal("ft-plane arrival below the floor was not queued")
 	}
 }
@@ -114,7 +114,7 @@ func TestDuplicateDropReleasesOnce(t *testing.T) {
 	if dup != 1 {
 		t.Fatalf("duplicate released %d times; want exactly 1", dup)
 	}
-	if found, _, _, _ := box.probe(1, 0, 0, 7); found {
+	if found, _ := box.arrived(1, 0, 0, 7); found {
 		t.Fatal("suppressed duplicate is visible in the mailbox")
 	}
 	if orig != 1 {
@@ -125,7 +125,7 @@ func TestDuplicateDropReleasesOnce(t *testing.T) {
 	var a, b int
 	box.deliver(countingMsg(1, 0, 1, 8, &a))
 	box.deliver(countingMsg(1, 0, 1, 8, &b))
-	if found, _, _, elems := box.probe(1, 0, 1, 8); !found || elems != 1 {
+	if found, elems := box.arrived(1, 0, 1, 8); !found || elems != 1 {
 		t.Fatal("unsequenced message missing")
 	}
 	if a != 0 || b != 0 {

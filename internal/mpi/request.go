@@ -320,122 +320,6 @@ func (r *Request) Free() {
 	}
 }
 
-// Test reports whether the operation has completed, without waiting for a
-// message; when it has, the status and error are as Wait would return them.
-// Mirrors MPI_Test for receive requests. A receive counts as completed from
-// the moment it is matched: that is when its WaitSet notification is posted,
-// a step ahead of the ready handoff, so an owner woken by the notification
-// always tests done (Waitany relies on it) — at the price of waiting out the
-// matcher's handoff, straight-line local code, when Test lands in between.
-func (r *Request) Test() (done bool, st Status, err error) {
-	if r.finished {
-		return true, r.status, r.err
-	}
-	switch r.kind {
-	case reqRecv:
-		if !r.pending.delivered.Load() {
-			return false, Status{}, nil
-		}
-		st, err = r.Wait()
-		return true, st, err
-	case reqAggregate:
-		for _, ch := range r.children {
-			if done, _, _ := ch.Test(); !done {
-				return false, Status{}, nil
-			}
-		}
-		st, err = r.Wait()
-		return true, st, err
-	}
-	return false, Status{}, nil
-}
-
-// Waitany blocks until at least one of the requests completes and returns
-// its index and status, like MPI_Waitany. Completed (or nil) requests that
-// were already waited on are skipped; if every request is nil or finished,
-// it returns index -1. Built on the completion-channel WaitSet: the wait
-// blocks on a single channel that matchers signal, so there is no poll
-// sweep and no backoff. The wait is registered with the deadlock monitor,
-// and an aborted run completes the first live request with the abort error
-// instead of blocking forever.
-func Waitany(reqs ...*Request) (int, Status, error) {
-	live := 0
-	var c *Comm
-	for _, r := range reqs {
-		if r != nil && !r.finished {
-			live++
-			if c == nil {
-				c = r.c
-			}
-		}
-	}
-	if live == 0 {
-		return -1, Status{}, nil
-	}
-	// Capacity bound: one notification per reachable pending receive.
-	pends, _ := pendingRecvs(reqs)
-	s := NewWaitSet(c, len(pends)+1)
-	for i, r := range reqs {
-		if r == nil || r.finished {
-			continue
-		}
-		s.Add(r, i)
-	}
-	for {
-		ready, err := s.Waitsome()
-		if err != nil {
-			// The run is being torn down (abort or suspected deadlock):
-			// complete the first live request so the caller observes the
-			// informative error rather than a bare channel failure.
-			for i, r := range reqs {
-				if r != nil && !r.finished {
-					st, werr := r.Wait()
-					return i, st, werr
-				}
-			}
-			return -1, Status{}, err
-		}
-		for _, i := range ready {
-			r := reqs[i]
-			if r == nil {
-				continue
-			}
-			// An aggregate owner is reported on every child completion;
-			// Test reports done only once the whole aggregate is.
-			if done, st, terr := r.Test(); done {
-				return i, st, terr
-			}
-		}
-	}
-}
-
-// pendingRecvs collects the posted receives (and exact source world ranks)
-// of every unfinished receive reachable from the requests, descending into
-// aggregates.
-func pendingRecvs(reqs []*Request) ([]*pendingRecv, []int) {
-	var pends []*pendingRecv
-	var srcs []int
-	var walk func(r *Request)
-	walk = func(r *Request) {
-		if r == nil || r.finished {
-			return
-		}
-		switch r.kind {
-		case reqRecv:
-			pends = append(pends, r.pending)
-			srcs = append(srcs, r.pending.srcWorld)
-		case reqAggregate:
-			for _, ch := range r.children {
-				walk(ch)
-			}
-		}
-	}
-	for _, r := range reqs {
-		walk(r)
-	}
-	return pends, srcs
-}
-
 // Waitall waits for every request and returns the first error encountered.
 func Waitall(reqs ...*Request) error {
 	var first error

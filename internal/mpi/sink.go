@@ -89,7 +89,7 @@ func (s *CompletionSink) Wake() {
 // WaitSet.Add: already-complete requests (nil, finished, sends, receives
 // whose match already happened) post the token immediately; aggregates
 // attach every unfinished child receive under the same token, so the
-// token is posted on each child completion and the consumer re-tests the
+// token is posted on each child completion and the consumer re-checks the
 // aggregate. Safe to call from the goroutine that posted the request,
 // concurrently with matchers and with other goroutines adding their own
 // requests.

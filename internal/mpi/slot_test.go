@@ -136,9 +136,6 @@ func TestUserRequestSurvivesLaterOperations(t *testing.T) {
 		if first != want || again != want {
 			return fmt.Errorf("status %+v at completion, %+v after %d later operations; want %+v both times", first, again, later, want)
 		}
-		if done, st, err := req.Test(); !done || err != nil || st != want {
-			return fmt.Errorf("Test on the kept request = (%v, %+v, %v)", done, st, err)
-		}
 		if kept[0] != 10 || kept[1] != 20 || kept[2] != 30 {
 			return fmt.Errorf("kept buffer overwritten: %v", kept)
 		}
@@ -207,7 +204,7 @@ func TestSlotStreamDupDrop(t *testing.T) {
 				return fmt.Errorf("expected message %d, received %v", n, buf)
 			}
 		}
-		if found, _, _ := Iprobe(c, 0, 2); found {
+		if found, _ := c.rs.box.arrived(c.ctx, c.epoch, 0, 2); found {
 			return fmt.Errorf("a duplicate or a lost message is queued after the stream")
 		}
 		return Barrier(c)

@@ -285,13 +285,13 @@ func TestManyRanksSmoke(t *testing.T) {
 	})
 }
 
-// TestSplitRecursive splits repeatedly and checks each level still
-// communicates correctly.
-func TestSplitRecursive(t *testing.T) {
+// TestSubsetCommRecursive halves the communicator by rank parity
+// repeatedly and checks each level still communicates correctly.
+func TestSubsetCommRecursive(t *testing.T) {
 	run(t, 16, func(c *Comm) error {
 		cur := c
 		for level := 0; level < 3; level++ {
-			half, err := cur.Split(cur.Rank()%2, cur.Rank())
+			half, err := parityComm(cur)
 			if err != nil {
 				return err
 			}

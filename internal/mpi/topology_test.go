@@ -5,127 +5,10 @@ import (
 	"testing"
 
 	"cartcc/internal/datatype"
-	"cartcc/internal/vec"
 )
 
 // contig1 is a one-element contiguous layout, shorthand for the tests.
 func contig1() datatype.Layout { return datatype.Contiguous(0, 1) }
-
-func TestCartCreateAndCoords(t *testing.T) {
-	run(t, 12, func(c *Comm) error {
-		cart, err := CartCreate(c, []int{3, 4}, nil, false)
-		if err != nil {
-			return err
-		}
-		if cart.Cart() == nil {
-			return fmt.Errorf("no topology attached")
-		}
-		coords, err := cart.CartCoords(cart.Rank())
-		if err != nil {
-			return err
-		}
-		back, err := cart.CartRank(coords)
-		if err != nil {
-			return err
-		}
-		if back != cart.Rank() {
-			return fmt.Errorf("round trip %d -> %v -> %d", cart.Rank(), coords, back)
-		}
-		// Periodic wrap in CartRank.
-		r, err := cart.CartRank(vec.Vec{-1, -1})
-		if err != nil {
-			return err
-		}
-		want, _ := cart.Cart().Grid.RankOf(vec.Vec{2, 3})
-		if r != want {
-			return fmt.Errorf("wrapped rank %d, want %d", r, want)
-		}
-		return nil
-	})
-}
-
-func TestCartCreateSizeMismatch(t *testing.T) {
-	run(t, 4, func(c *Comm) error {
-		if _, err := CartCreate(c, []int{3, 3}, nil, false); err == nil {
-			return fmt.Errorf("size mismatch accepted")
-		}
-		return nil
-	})
-}
-
-func TestCartShift(t *testing.T) {
-	run(t, 9, func(c *Comm) error {
-		cart, err := CartCreate(c, []int{3, 3}, nil, false)
-		if err != nil {
-			return err
-		}
-		src, dst, srcOK, dstOK, err := cart.CartShift(1, 1)
-		if err != nil || !srcOK || !dstOK {
-			return fmt.Errorf("shift failed: %v %v %v", err, srcOK, dstOK)
-		}
-		coords, _ := cart.CartCoords(cart.Rank())
-		wantDst, _ := cart.Cart().Grid.RankDisplace(cart.Rank(), vec.Vec{0, 1})
-		wantSrc, _ := cart.Cart().Grid.RankDisplace(cart.Rank(), vec.Vec{0, -1})
-		if dst != wantDst || src != wantSrc {
-			return fmt.Errorf("coords %v: shift = %d,%d want %d,%d", coords, src, dst, wantSrc, wantDst)
-		}
-		// Shift exchange actually communicates correctly.
-		out := []int{cart.Rank()}
-		in := make([]int, 1)
-		if _, err := Sendrecv(cart,
-			out, contig1(), dst, 0,
-			in, contig1(), src, 0); err != nil {
-			return err
-		}
-		if in[0] != src {
-			return fmt.Errorf("shift exchange got %d, want %d", in[0], src)
-		}
-		return nil
-	})
-}
-
-func TestCartShiftMeshBoundary(t *testing.T) {
-	run(t, 4, func(c *Comm) error {
-		cart, err := CartCreate(c, []int{4}, []bool{false}, false)
-		if err != nil {
-			return err
-		}
-		_, _, srcOK, dstOK, err := cart.CartShift(0, 1)
-		if err != nil {
-			return err
-		}
-		switch cart.Rank() {
-		case 3:
-			if dstOK {
-				return fmt.Errorf("rank 3 has a right neighbor on a mesh")
-			}
-		case 0:
-			if srcOK {
-				return fmt.Errorf("rank 0 has a left source on a mesh")
-			}
-		default:
-			if !srcOK || !dstOK {
-				return fmt.Errorf("interior rank missing neighbors")
-			}
-		}
-		return nil
-	})
-}
-
-func TestCartErrorsWithoutTopology(t *testing.T) {
-	run(t, 2, func(c *Comm) error {
-		if _, err := c.CartCoords(0); err == nil {
-			return fmt.Errorf("CartCoords without topology accepted")
-		}
-		if _, err := c.CartRank(vec.Vec{0}); err == nil {
-			return fmt.Errorf("CartRank without topology accepted")
-		}
-		if _, _, _, _, err := c.CartShift(0, 1); err == nil {
-			return fmt.Errorf("CartShift without topology accepted")
-		}
-		return nil
-	})
-}
 
 func TestDistGraphCreateAndQuery(t *testing.T) {
 	run(t, 4, func(c *Comm) error {
@@ -141,7 +24,7 @@ func TestDistGraphCreateAndQuery(t *testing.T) {
 		if err != nil || in != 1 || out != 1 {
 			return fmt.Errorf("degrees %d/%d, err %v", in, out, err)
 		}
-		if g.Graph() == nil || g.Graph().Sources[0] != sources[0] {
+		if g.graph == nil || g.graph.Sources[0] != sources[0] {
 			return fmt.Errorf("graph info lost")
 		}
 		return nil
@@ -275,34 +158,6 @@ func TestNeighborAllgather(t *testing.T) {
 		if recv[0] != sources[0] || recv[1] != sources[0]*7 ||
 			recv[2] != sources[1] || recv[3] != sources[1]*7 {
 			return fmt.Errorf("rank %d recv %v (sources %v)", c.Rank(), recv, sources)
-		}
-		return nil
-	})
-}
-
-func TestNeighborAllgatherv(t *testing.T) {
-	run(t, 3, func(c *Comm) error {
-		p := c.Size()
-		targets := []int{(c.Rank() + 1) % p}
-		sources := []int{(c.Rank() - 1 + p) % p}
-		g, err := DistGraphCreateAdjacent(c, sources, nil, targets, nil, false)
-		if err != nil {
-			return err
-		}
-		n := c.Rank() + 1
-		send := make([]int, n)
-		for i := range send {
-			send[i] = c.Rank()
-		}
-		rn := sources[0] + 1
-		recv := make([]int, rn)
-		if err := NeighborAllgatherv(g, send, recv, []int{rn}, []int{0}); err != nil {
-			return err
-		}
-		for _, x := range recv {
-			if x != sources[0] {
-				return fmt.Errorf("rank %d recv %v", c.Rank(), recv)
-			}
 		}
 		return nil
 	})

@@ -111,7 +111,7 @@ func TestVTimeRecvWaitsForArrival(t *testing.T) {
 		if c.Rank() == 0 {
 			// Compute for 1 ms of virtual time, then receive: arrival is
 			// earlier than the local clock, so no extra waiting.
-			c.AdvanceVTime(1e-3)
+			c.rs.clock += 1e-3
 			buf := make([]int, 1)
 			_, err := RecvSlice(c, buf, 1, 0)
 			return err
@@ -227,7 +227,7 @@ func TestVTimeBarrierSynchronizesClocks(t *testing.T) {
 	m := netmodel.Hydra()
 	clocks := runModel(t, 4, m, 0, func(c *Comm) error {
 		// Skew the ranks, then barrier.
-		c.AdvanceVTime(float64(c.Rank()) * 1e-3)
+		c.rs.clock += float64(c.Rank()) * 1e-3
 		return Barrier(c)
 	})
 	// After a barrier every clock is at least the maximum pre-barrier skew.

@@ -11,10 +11,9 @@ import (
 // mutex-guarded token list plus a one-slot wake channel. Matchers (and
 // cancel callers) post completion tokens with post, which never blocks —
 // the queue grows as needed — so a single sink can multiplex any number of
-// in-flight receives: the progress-engine requirement that outgrew the
-// fixed-capacity completion channel. The wake channel is a level trigger
-// (capacity 1, non-blocking send): a waiter that drains the queue may see
-// one spurious wake afterwards and must re-check.
+// in-flight receives. The wake channel is a level trigger (capacity 1,
+// non-blocking send): a waiter that drains the queue may see one spurious
+// wake afterwards and must re-check.
 type notifySink struct {
 	mu    sync.Mutex
 	queue []int
@@ -55,16 +54,14 @@ func (s *notifySink) post(tok int) {
 // — a set whose receives were all cancelled drains instead of blocking.
 //
 // Each added request carries a caller-chosen owner token, and Waitsome
-// returns owner tokens: schedule executors pass round indices, Waitany
-// passes argument positions, progress engines encode (schedule, round)
-// pairs. Owner tokens must be non-negative. A WaitSet is single-goroutine
-// (whoever calls Add/Waitsome/Reset); only the sink is written by other
-// goroutines.
+// returns owner tokens: the schedule executor passes round indices. Owner
+// tokens must be non-negative. A WaitSet is single-goroutine (whoever
+// calls Add/Waitsome/Reset); only the sink is written by other goroutines.
 //
 // The sink is unbounded: the construction capacity is a pre-allocation
 // hint, not a limit, and positions freed by consumed completions are
-// recycled, so a long-lived set (a progress engine's) does not grow with
-// the number of collectives driven through it. Reset reclaims the set for
+// recycled, so a long-lived set does not grow with the number of
+// executions driven through it. Reset reclaims the set for
 // the next execution without allocating, which keeps repeated plan
 // executions allocation-free.
 type WaitSet struct {
@@ -88,24 +85,8 @@ type WaitSet struct {
 	// outstanding counts attached notifications not yet consumed.
 	outstanding int
 
-	// external marks a set that also receives caller-injected tokens
-	// (Notify): Waitsome then blocks even with no receives outstanding —
-	// an idle progress engine parking for its next commit — and does not
-	// arm the deadlock timer for such pure-external waits (idle is not
-	// deadlock).
-	external bool
-
-	// monitored selects wait-for-graph deadlock-monitor registration for
-	// blocking waits (default true). A progress engine disables it: the
-	// monitor has one blocked-op slot per rank, owned by the rank's own
-	// goroutine, and an engine blocking concurrently with the rank would
-	// clobber it. Engine waits keep the fallback timer as their deadlock
-	// defense.
-	monitored bool
-
-	// timer is the set's own fallback-watchdog timer. The per-rank
-	// blockTimer cannot be shared here: an engine's Waitsome may block
-	// concurrently with the rank goroutine's own blocking wait.
+	// timer is the set's fallback-watchdog timer, re-armed per blocking
+	// Waitsome.
 	timer *time.Timer
 }
 
@@ -115,29 +96,7 @@ func NewWaitSet(c *Comm, capacity int) *WaitSet {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &WaitSet{c: c, sink: newNotifySink(capacity), monitored: true}
-}
-
-// SetMonitored selects whether blocking waits register with the
-// wait-for-graph deadlock monitor. Progress engines pass false — see the
-// monitored field. Must be called by the set's owner before any Waitsome.
-func (s *WaitSet) SetMonitored(on bool) { s.monitored = on }
-
-// AllowExternal marks the set as receiving caller-injected tokens (Notify),
-// which makes an empty Waitsome block instead of returning (nil, nil).
-// Must be called by the set's owner before any Waitsome.
-func (s *WaitSet) AllowExternal() { s.external = true }
-
-// Notify injects a caller-defined completion token from any goroutine: the
-// next Waitsome returns it among the ready owners. Progress engines use it
-// to wake a parked engine when a new schedule is committed. The token must
-// be non-negative (owner tokens and sink positions share the queue;
-// external tokens travel bit-complemented).
-func (s *WaitSet) Notify(token int) {
-	if token < 0 {
-		panic(fmt.Sprintf("mpi: WaitSet.Notify token %d is negative", token))
-	}
-	s.sink.post(^token)
+	return &WaitSet{c: c, sink: newNotifySink(capacity)}
 }
 
 // Reset prepares the set for reuse. Notifications still queued from an
@@ -168,7 +127,7 @@ func (s *WaitSet) Reset() {
 // a notification, or become immediately ready if their match already
 // happened; aggregates attach every unfinished child receive under the same
 // owner, so the owner is reported on each child completion and the caller
-// re-tests the aggregate.
+// re-checks the aggregate.
 func (s *WaitSet) Add(r *Request, owner int) {
 	if owner < 0 {
 		panic(fmt.Sprintf("mpi: WaitSet owner token %d is negative", owner))
@@ -247,16 +206,11 @@ func (s *WaitSet) take(pos int) {
 	s.scratch = append(s.scratch, s.pendOwner[pos])
 }
 
-// drain collects every queued token without blocking. Non-negative tokens
-// are positions (receive completions); negative tokens are bit-complemented
-// external owners injected via Notify.
+// drain collects every queued token (a receive completion's position)
+// without blocking.
 func (s *WaitSet) drain() {
 	s.sink.mu.Lock()
 	for _, tok := range s.sink.queue {
-		if tok < 0 {
-			s.scratch = append(s.scratch, ^tok)
-			continue
-		}
 		s.take(tok)
 	}
 	s.sink.queue = s.sink.queue[:0]
@@ -286,15 +240,13 @@ func (s *WaitSet) disarmTimeout() {
 	}
 }
 
-// Waitsome blocks until at least one added request has completed (or an
-// external token was injected) and returns the owner tokens of everything
-// complete so far, like a completion-channel MPI_Waitsome — no polling, no
-// backoff. A (nil, nil) return means nothing is outstanding (unless the
-// set AllowExternal-ed, in which case an empty set parks awaiting Notify).
-// Blocking waits with receives outstanding register with the
-// wait-for-graph deadlock monitor under kind "waitsome" (when monitored)
-// and honor the run's abort channel and fallback timer exactly like a
-// blocking receive. The returned slice is reused by the next call.
+// Waitsome blocks until at least one added request has completed and
+// returns the owner tokens of everything complete so far, like a
+// completion-channel MPI_Waitsome — no polling, no backoff. A (nil, nil)
+// return means nothing is outstanding. Blocking waits register with the
+// wait-for-graph deadlock monitor under kind "waitsome" and honor the
+// run's abort channel and fallback timer exactly like a blocking receive.
+// The returned slice is reused by the next call.
 func (s *WaitSet) Waitsome() ([]int, error) {
 	s.scratch = s.scratch[:0]
 	if len(s.readyNow) > 0 {
@@ -305,20 +257,18 @@ func (s *WaitSet) Waitsome() ([]int, error) {
 	if len(s.scratch) > 0 {
 		return s.scratch, nil
 	}
-	if s.outstanding == 0 && !s.external {
+	if s.outstanding == 0 {
 		return nil, nil
 	}
 	w := s.c.w
 	rs := s.c.rs
-	if met := rs.met; met != nil && s.outstanding > 0 {
-		// As in awaitMessage: count and time only waits that actually block
-		// on receives. Idle external parks (an engine awaiting its next
-		// commit) are not communication waits and stay out of the metric.
+	if met := rs.met; met != nil {
+		// As in awaitMessage: count and time only waits that actually block.
 		met.waitBlocks.Inc()
 		t0 := time.Now()
 		defer func() { met.waitBlockedNs.Add(time.Since(t0).Nanoseconds()) }()
 	}
-	if w.monitoring && s.monitored && s.outstanding > 0 {
+	if w.monitoring {
 		// Fresh slices per registration: the deadlock monitor reads the
 		// blockedOp snapshot concurrently, possibly after this rank has
 		// moved on to the next Waitsome, so the backing arrays must not be
@@ -339,13 +289,8 @@ func (s *WaitSet) Waitsome() ([]int, error) {
 		})
 		defer w.clearBlocked(rs.rank)
 	}
-	// Arm the fallback deadlock timer only when receives are outstanding: a
-	// pure-external park (idle engine) can legitimately wait forever.
-	var timeoutCh <-chan time.Time
-	if s.outstanding > 0 {
-		timeoutCh = s.armTimeout()
-		defer s.disarmTimeout()
-	}
+	timeoutCh := s.armTimeout()
+	defer s.disarmTimeout()
 	for {
 		select {
 		case <-s.sink.wake:
@@ -380,7 +325,3 @@ func (s *WaitSet) Waitsome() ([]int, error) {
 		}
 	}
 }
-
-// Outstanding returns the number of attached receives whose completion has
-// not yet been returned by Waitsome.
-func (s *WaitSet) Outstanding() int { return s.outstanding }

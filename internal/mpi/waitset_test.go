@@ -39,7 +39,7 @@ func TestWaitSetCompletionOrder(t *testing.T) {
 		s.Add(r1, 100)
 		s.Add(r2, 200)
 		var order []int
-		for s.Outstanding() > 0 || len(order) < 2 {
+		for s.outstanding > 0 || len(order) < 2 {
 			ready, err := s.Waitsome()
 			if err != nil {
 				return err
@@ -128,8 +128,8 @@ func TestWaitSetAddAfterMatch(t *testing.T) {
 		}
 		s := NewWaitSet(c, 1)
 		s.Add(req, 42)
-		if s.Outstanding() != 0 {
-			return fmt.Errorf("outstanding = %d after late add", s.Outstanding())
+		if s.outstanding != 0 {
+			return fmt.Errorf("outstanding = %d after late add", s.outstanding)
 		}
 		ready, err := s.Waitsome()
 		if err != nil {
@@ -192,15 +192,16 @@ func TestWaitSetAggregate(t *testing.T) {
 			if done {
 				continue
 			}
-			// The aggregate may test done on the first wake, when the second
-			// child's message was handed over before its wake was consumed;
-			// that wake is then still owed, so keep draining.
-			if done, _, err = agg.Test(); err != nil {
-				return err
-			}
+			// The aggregate may be complete on the first wake, when the
+			// second child's message was handed over before its wake was
+			// consumed; that wake is then still owed, so keep draining.
+			done = r1.pending.delivered.Load() && r2.pending.delivered.Load()
 		}
 		if !done {
 			return fmt.Errorf("set drained before aggregate completed")
+		}
+		if _, err := agg.Wait(); err != nil {
+			return err
 		}
 		if wakes != 2 {
 			return fmt.Errorf("aggregate owner signaled %d times, want 2", wakes)
@@ -267,8 +268,8 @@ func TestWaitSetEmpty(t *testing.T) {
 		if ready != nil {
 			return fmt.Errorf("empty set Waitsome = %v, want nil", ready)
 		}
-		if s.Outstanding() != 0 {
-			return fmt.Errorf("empty set outstanding = %d", s.Outstanding())
+		if s.outstanding != 0 {
+			return fmt.Errorf("empty set outstanding = %d", s.outstanding)
 		}
 		return nil
 	})
@@ -318,8 +319,8 @@ func TestWaitSetAllCancelled(t *testing.T) {
 				return fmt.Errorf("cancelled Wait = %v, want ErrCancelled", err)
 			}
 		}
-		if s.Outstanding() != 0 {
-			return fmt.Errorf("outstanding = %d after all cancellations", s.Outstanding())
+		if s.outstanding != 0 {
+			return fmt.Errorf("outstanding = %d after all cancellations", s.outstanding)
 		}
 		if ready, err := s.Waitsome(); err != nil || ready != nil {
 			return fmt.Errorf("drained set Waitsome = %v, %v", ready, err)

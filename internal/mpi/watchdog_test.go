@@ -357,17 +357,13 @@ func TestCancelReceive(t *testing.T) {
 	})
 }
 
-// TestWaitanyBlocksOnCompletionChannel replaces the old poll-sweep-rate
-// regression test (the waitanyIdleSweeps hook is gone with the poll loop):
-// a blocked Waitany must park on the WaitSet completion channel — visible
-// to the deadlock monitor as a "waitsome" registration — and wake when the
-// delayed message is matched.
-func TestWaitanyBlocksOnCompletionChannel(t *testing.T) {
-	// The message is released only after the watcher has seen Waitany's
-	// watchdog registration, so Waitany is provably parked on the
-	// completion channel when the send happens. (The old version slept
-	// 150ms before sending and failed if the send beat Waitany to the
-	// mailbox, in which case no registration ever appeared.)
+// TestWaitsomeBlocksOnCompletionChannel: a blocked Waitsome must park on
+// the WaitSet completion channel — visible to the deadlock monitor as a
+// "waitsome" registration — and wake when the delayed message is matched.
+func TestWaitsomeBlocksOnCompletionChannel(t *testing.T) {
+	// The message is released only after the watcher has seen Waitsome's
+	// watchdog registration, so Waitsome is provably parked on the
+	// completion channel when the send happens.
 	sendNow := make(chan struct{})
 	run(t, 2, func(c *Comm) error {
 		if c.Rank() == 1 {
@@ -379,7 +375,7 @@ func TestWaitanyBlocksOnCompletionChannel(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		// Sample the watchdog registry while Waitany blocks: the wait is
+		// Sample the watchdog registry while Waitsome blocks: the wait is
 		// one atomic registration, not a sweep loop.
 		seen := make(chan string, 1)
 		go func() {
@@ -395,15 +391,20 @@ func TestWaitanyBlocksOnCompletionChannel(t *testing.T) {
 			seen <- ""
 			close(sendNow)
 		}()
-		idx, _, err := Waitany(req)
+		s := NewWaitSet(c, 1)
+		s.Add(req, 0)
+		ready, err := s.Waitsome()
 		if err != nil {
 			return err
 		}
-		if idx != 0 || buf[0] != 1 {
-			return fmt.Errorf("Waitany index = %d buf = %v", idx, buf)
+		if len(ready) != 1 || ready[0] != 0 {
+			return fmt.Errorf("Waitsome owners = %v", ready)
+		}
+		if _, err := req.Wait(); err != nil || buf[0] != 1 {
+			return fmt.Errorf("completed receive: err %v buf = %v", err, buf)
 		}
 		if kind := <-seen; kind != "waitsome" {
-			return fmt.Errorf("blocked Waitany registered as %q, want waitsome", kind)
+			return fmt.Errorf("blocked Waitsome registered as %q, want waitsome", kind)
 		}
 		return nil
 	})

@@ -502,7 +502,6 @@ type Comm struct {
 	// communicator (identity).
 	group []int
 
-	cart  *CartInfo
 	graph *GraphInfo
 }
 
@@ -531,10 +530,6 @@ func (c *Comm) worldRank(r int) int {
 // unless the run was configured with a cost model.
 func (c *Comm) VTime() netmodel.Time { return c.rs.clock }
 
-// AdvanceVTime adds dt seconds of local computation to the rank's virtual
-// clock, modeling compute phases between communication operations.
-func (c *Comm) AdvanceVTime(dt netmodel.Time) { c.rs.clock += dt }
-
 // Model returns the cost model of the run, or nil in wall-clock mode.
 func (c *Comm) Model() *netmodel.Model { return c.w.model }
 
@@ -555,7 +550,7 @@ func (c *Comm) Dup() (*Comm, error) {
 	}
 	dup := *c
 	dup.ctx = ctx
-	dup.cart, dup.graph = nil, nil
+	dup.graph = nil
 	return &dup, nil
 }
 
@@ -613,10 +608,11 @@ func (c *Comm) Remap(newToOld []int) (*Comm, error) {
 // renumbered 0..len(members)-1 in list order. Collective over all of c:
 // every rank must pass the same strictly increasing list of c-ranks (the
 // context allocation is the one collective step); ranks outside the list
-// participate and receive nil. Unlike Split, the membership is taken from
-// the caller instead of being gathered — recovery uses this to build the
-// survivor communicator from a membership every rank computed locally
-// from agreed data, with exactly one collective to fail atomically on.
+// participate and receive nil. Unlike MPI_Comm_split, the membership is
+// taken from the caller instead of being gathered — recovery uses this to
+// build the survivor communicator from a membership every rank computed
+// locally from agreed data, with exactly one collective to fail
+// atomically on.
 func (c *Comm) SubsetComm(members []int) (*Comm, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("mpi: SubsetComm: empty member list")
@@ -652,78 +648,6 @@ func (c *Comm) SubsetComm(members []int) (*Comm, error) {
 		rank:  myNew,
 		size:  len(members),
 		ctx:   ctx,
-		epoch: c.epoch,
-		group: group,
-	}, nil
-}
-
-// Split partitions the communicator by color, ordering each part by key
-// (ties broken by old rank), like MPI_Comm_split. Processes passing a
-// negative color receive a nil communicator. Collective.
-func (c *Comm) Split(color, key int) (*Comm, error) {
-	type ck struct{ Color, Key, Rank int64 }
-	mine := []int64{int64(color), int64(key), int64(c.rank)}
-	all := make([]int64, 3*c.size)
-	if err := Allgather(c, mine, all); err != nil {
-		return nil, err
-	}
-	var entries []ck
-	colors := map[int64]struct{}{}
-	var colorOrder []int64
-	for r := 0; r < c.size; r++ {
-		e := ck{all[3*r], all[3*r+1], all[3*r+2]}
-		entries = append(entries, e)
-		if e.Color >= 0 {
-			if _, ok := colors[e.Color]; !ok {
-				colors[e.Color] = struct{}{}
-				colorOrder = append(colorOrder, e.Color)
-			}
-		}
-	}
-	ctxBase, err := c.allocCtx(int64(len(colorOrder)))
-	if err != nil {
-		return nil, err
-	}
-	if color < 0 {
-		return nil, nil
-	}
-	// Stable selection of my color's members sorted by (key, old rank).
-	var members []ck
-	for _, e := range entries {
-		if e.Color == int64(color) {
-			members = append(members, e)
-		}
-	}
-	for i := 1; i < len(members); i++ {
-		for j := i; j > 0; j-- {
-			a, b := members[j-1], members[j]
-			if b.Key < a.Key || (b.Key == a.Key && b.Rank < a.Rank) {
-				members[j-1], members[j] = b, a
-			} else {
-				break
-			}
-		}
-	}
-	group := make([]int, len(members))
-	newRank := -1
-	for i, e := range members {
-		group[i] = c.worldRank(int(e.Rank))
-		if int(e.Rank) == c.rank {
-			newRank = i
-		}
-	}
-	ctxOff := int64(0)
-	for i, col := range colorOrder {
-		if col == int64(color) {
-			ctxOff = int64(i)
-		}
-	}
-	return &Comm{
-		w:     c.w,
-		rs:    c.rs,
-		rank:  newRank,
-		size:  len(group),
-		ctx:   ctxBase + ctxOff,
 		epoch: c.epoch,
 		group: group,
 	}, nil

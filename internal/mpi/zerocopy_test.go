@@ -12,11 +12,12 @@ import (
 	"cartcc/internal/wire"
 )
 
-// TestIprobeExactDeepQueue is the indexed-mailbox regression test: a
-// fully-specified Iprobe must be an O(1) index lookup even with a 10k-deep
-// unexpected queue, while a wildcard probe (the only scanner left) walks
-// the queue. The probeScanned hook counts arrived-list entries examined.
-func TestIprobeExactDeepQueue(t *testing.T) {
+// TestExactRecvDeepQueue is the indexed-mailbox regression test: a
+// fully-specified receive must match by an O(1) index lookup even with a
+// 10k-deep unexpected queue, while a wildcard receive (the only scanner)
+// walks the queue. The probeScanned hook counts arrived-list entries
+// examined.
+func TestExactRecvDeepQueue(t *testing.T) {
 	const depth = 10_000
 	run(t, 2, func(c *Comm) error {
 		switch c.Rank() {
@@ -36,31 +37,35 @@ func TestIprobeExactDeepQueue(t *testing.T) {
 			if _, err := RecvSlice(c, sync, 0, 8); err != nil {
 				return err
 			}
+			got := make([]int, 1)
 			before := probeScanned.Load()
-			found, st, err := Iprobe(c, 0, 7)
+			st, err := RecvSlice(c, got, 0, 7)
 			if err != nil {
 				return err
 			}
-			if !found || st.Source != 0 || st.Tag != 7 || st.Count != 1 {
-				return fmt.Errorf("exact probe: found=%v st=%+v", found, st)
+			if st.Source != 0 || st.Tag != 7 || st.Count != 1 || got[0] != 0 {
+				return fmt.Errorf("exact receive: st=%+v got %v", st, got)
 			}
 			if scanned := probeScanned.Load() - before; scanned != 0 {
-				return fmt.Errorf("exact probe scanned %d entries of a %d-deep queue; want 0", scanned, depth)
+				return fmt.Errorf("exact receive scanned %d entries of a %d-deep queue; want 0", scanned, depth)
 			}
-			// A wildcard probe for an absent tag is the scanner: it must
-			// examine at least the whole live queue, proving the counter
+			// A wildcard receive for an absent tag is the scanner: posting
+			// it must examine the whole live queue, proving the counter
 			// observes this code path and the exact path really skipped it.
 			before = probeScanned.Load()
-			if found, _, _ := Iprobe(c, AnySource, 9999); found {
-				return fmt.Errorf("wildcard probe for absent tag found a message")
+			wild, err := Irecv(c, got, datatype.Contiguous(0, 1), AnySource, 9999)
+			if err != nil {
+				return err
 			}
-			if scanned := probeScanned.Load() - before; scanned < depth {
-				return fmt.Errorf("wildcard probe scanned %d entries; want >= %d", scanned, depth)
+			if scanned := probeScanned.Load() - before; scanned < depth-1 {
+				return fmt.Errorf("wildcard receive scanned %d entries; want >= %d", scanned, depth-1)
+			}
+			if !wild.Cancel() {
+				return fmt.Errorf("wildcard receive for an absent tag matched a message")
 			}
 			// Drain in order: non-overtaking must hold across the indexed
 			// queue, zero-copy sends, and pooled wires.
-			got := make([]int, 1)
-			for i := 0; i < depth; i++ {
+			for i := 1; i < depth; i++ {
 				if _, err := RecvSlice(c, got, 0, 7); err != nil {
 					return err
 				}

@@ -102,19 +102,6 @@ func (m *Model) Cost(bytes int) Time {
 	return m.Alpha + m.Beta*Time(bytes)
 }
 
-// PredictRelative evaluates the paper's analytic comparison for a
-// message-combining schedule with rounds C and volume V (in blocks) against
-// a direct algorithm with t rounds and volume t, for block size mBytes:
-// it returns (Cα + βVm) / (tα + βtm), the expected relative run time.
-func (m *Model) PredictRelative(t, rounds, volume, mBytes int) float64 {
-	combined := Time(rounds)*m.Alpha + m.Beta*Time(volume*mBytes)
-	trivial := Time(t)*m.Alpha + m.Beta*Time(t*mBytes)
-	if trivial == 0 {
-		return math.Inf(1)
-	}
-	return combined / trivial
-}
-
 // CutoffBytes returns the block size in bytes below which message combining
 // is predicted to win: m < (α/β)·(t−C)/(V−t) (Section 3.1 of the paper).
 // It returns +Inf when combining wins at every size (V <= t) and 0 when it

@@ -17,24 +17,6 @@ func TestCost(t *testing.T) {
 	}
 }
 
-func TestPredictRelative(t *testing.T) {
-	m := &Model{Alpha: 1e-6, Beta: 1e-9}
-	// t=27 rounds direct vs C=6 rounds, V=54 blocks (d=3, n=3 alltoall).
-	// At m -> 0 the ratio approaches C/t.
-	small := m.PredictRelative(27, 6, 54, 0)
-	if math.Abs(small-6.0/27.0) > 1e-12 {
-		t.Errorf("ratio at m=0: %g, want %g", small, 6.0/27.0)
-	}
-	// At large m it approaches V/t = 2.
-	big := m.PredictRelative(27, 6, 54, 1<<30)
-	if math.Abs(big-2.0) > 1e-3 {
-		t.Errorf("ratio at large m: %g, want ~2", big)
-	}
-	if r := (&Model{}).PredictRelative(0, 0, 0, 0); !math.IsInf(r, 1) {
-		t.Errorf("degenerate ratio = %g", r)
-	}
-}
-
 func TestCutoffBytes(t *testing.T) {
 	m := &Model{Alpha: 1e-6, Beta: 1e-9}
 	// Cut-off = (α/β)·(t−C)/(V−t) = 1000·21/27 for d=3,n=3 (t incl. self).

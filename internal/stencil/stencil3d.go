@@ -49,9 +49,6 @@ type Exchanger3D struct {
 // Comm returns the underlying Cartesian-neighborhood communicator.
 func (e *Exchanger3D) Comm() *cart.Comm { return e.comm }
 
-// Plan exposes the compiled exchange plan.
-func (e *Exchanger3D) Plan() *cart.Plan { return e.plan }
-
 // NewExchanger3D builds the exchanger over the process torus procDims.
 // corners selects the full 26-neighbor Moore exchange (27-point stencils);
 // without corners only the 6 face neighbors exchange (7-point stencils).

@@ -463,7 +463,7 @@ func TestHeat7MatchesSerial(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if ex.Plan() == nil || ex.Comm() == nil {
+		if ex.plan == nil || ex.Comm() == nil {
 			return fmt.Errorf("accessors nil")
 		}
 		coords := ex.Comm().Coords()

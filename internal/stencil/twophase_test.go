@@ -136,9 +136,9 @@ func TestTwoPhaseExchange3DMatchesMoore(t *testing.T) {
 		}
 		// The Section 3.4 volume claim: edges and corners stop being
 		// duplicated.
-		if two.VolumeElements() >= MooreVolumeElements3D(b) {
+		if two.elems >= MooreVolumeElements3D(b) {
 			return fmt.Errorf("3-D two-phase volume %d not below moore %d",
-				two.VolumeElements(), MooreVolumeElements3D(b))
+				two.elems, MooreVolumeElements3D(b))
 		}
 		return nil
 	})

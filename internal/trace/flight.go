@@ -236,37 +236,3 @@ func (f *FlightRecorder) TailAll(max int) [][]FlightEvent {
 	}
 	return out
 }
-
-// Export replays every ring's retained tail into the timeline — the flight
-// recorder's EventSink contract. Matched recv post→done pairs render as
-// spans (the done event carries its latency, so the span needs no pairing
-// search); everything else is an instant.
-func (f *FlightRecorder) Export(tl *Timeline, pid int) {
-	if f == nil {
-		return
-	}
-	for rank := range f.rings {
-		tr := Track{pid, rank}
-		tl.SetThread(tr, fmt.Sprintf("rank %d", rank))
-		for _, e := range f.Tail(rank, 0) {
-			switch e.Kind {
-			case FlightRecvDone:
-				tl.AddSpan(Span{
-					Track: tr, Name: fmt.Sprintf("recv←%d", e.Peer), Cat: "flight",
-					StartNs: e.AtNs - e.Arg, DurNs: e.Arg,
-					Peer: int(e.Peer), Bytes: int(e.Bytes), Tag: int(e.Tag),
-				})
-			case FlightFutureRetire:
-				tl.AddSpan(Span{
-					Track: tr, Name: fmt.Sprintf("future #%d", e.Arg), Cat: "flight",
-					StartNs: e.AtNs - e.Bytes, DurNs: e.Bytes, Tag: int(e.Tag),
-				})
-			default:
-				tl.AddInstant(Instant{
-					Track: tr, Name: e.Kind.String(), Cat: "flight",
-					AtNs: e.AtNs, Peer: int(e.Peer), Tag: int(e.Tag),
-				})
-			}
-		}
-	}
-}

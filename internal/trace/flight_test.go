@@ -48,7 +48,6 @@ func TestFlightNilAndOutOfRangeSafe(t *testing.T) {
 	if fr.Tail(0, 0) != nil || fr.TailAll(0) != nil || fr.Total(0) != 0 || fr.Cap() != 0 || fr.Ranks() != 0 {
 		t.Fatal("nil recorder must behave as empty")
 	}
-	fr.Export(new(Timeline), 0)
 
 	live := NewFlightRecorder(1, 8)
 	live.Record(-1, FlightSendPost, 0, 0, 0, 0) // out of range: dropped
@@ -139,26 +138,5 @@ func TestFlightEventJSONRoundTrip(t *testing.T) {
 	}
 	if len(back) != 1 || back[0] != orig[0] {
 		t.Fatalf("round trip mismatch: %+v vs %+v", back, orig)
-	}
-}
-
-func TestFlightExport(t *testing.T) {
-	fr := NewFlightRecorder(2, 8)
-	fr.Record(0, FlightSendPost, 1, 5, 64, 0)
-	fr.Record(1, FlightRecvDone, 0, 5, 64, 200) // latency 200ns -> span
-	fr.Record(1, FlightFutureRetire, -1, 0, 300, 7)
-	tl := new(Timeline)
-	fr.Export(tl, 3)
-	if tl.Empty() {
-		t.Fatal("export produced an empty timeline")
-	}
-	if len(tl.spans) != 2 {
-		t.Fatalf("spans = %d, want 2 (recv-done + future-retire)", len(tl.spans))
-	}
-	if tl.spans[0].DurNs != 200 {
-		t.Fatalf("recv span duration = %d, want the recorded 200ns latency", tl.spans[0].DurNs)
-	}
-	if len(tl.instants) != 1 {
-		t.Fatalf("instants = %d, want 1 (send-post)", len(tl.instants))
 	}
 }

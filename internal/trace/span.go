@@ -9,7 +9,7 @@ import (
 // recording backends — Recorder (virtual-time cost-model events) and
 // RoundLog (wall-clock executor events) — predate it and keep their
 // zero-overhead recording formats; each knows how to replay itself into a
-// Timeline (the EventSink contract), and the Timeline renders once to
+// Timeline (an Export(tl, pid) method), and the Timeline renders once to
 // Chrome trace_event JSON (chrome.go). One process (pid) per sink, one
 // thread (tid) per rank, so a capture that records both clocks shows them
 // as two process groups in ui.perfetto.dev.
@@ -77,12 +77,6 @@ type threadName struct {
 	name  string
 }
 
-// EventSink is the unified export surface: a recording backend replays
-// its events into the timeline under the given process id.
-type EventSink interface {
-	Export(tl *Timeline, pid int)
-}
-
 // SetProcess names a process group (e.g. "virtual time", "wall clock").
 func (tl *Timeline) SetProcess(pid int, name string) {
 	for i := range tl.procs {
@@ -113,11 +107,6 @@ func (tl *Timeline) AddInstant(i Instant) { tl.instants = append(tl.instants, i)
 
 // AddFlow appends one sender→receiver arrow.
 func (tl *Timeline) AddFlow(f Flow) { tl.flows = append(tl.flows, f) }
-
-// Empty reports whether nothing has been recorded.
-func (tl *Timeline) Empty() bool {
-	return len(tl.spans) == 0 && len(tl.instants) == 0
-}
 
 // Export replays the recorder's virtual-time events: one thread per rank,
 // a slice per send and receive, and a flow arrow from each send to the
@@ -175,7 +164,7 @@ func (r *Recorder) Export(tl *Timeline, pid int) {
 }
 
 // RoundLogSet groups per-rank wall-clock round logs (index = rank) into
-// one exportable sink, completing the EventSink pairing with Recorder.
+// one exportable sink, the wall-clock counterpart of Recorder.
 type RoundLogSet []*RoundLog
 
 // Export replays the executor logs: a slice per round from receive post

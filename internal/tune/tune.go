@@ -60,18 +60,6 @@ type Profile struct {
 // crossover formula (sender plus receiver side).
 func (p Profile) Overhead() float64 { return p.SendOverhead + p.RecvOverhead }
 
-// Model converts the profile back into a netmodel cost model, so the
-// analytic helpers (CutoffBytes, CutoffBytesLogGP, PredictRelative) apply
-// to measured constants too.
-func (p Profile) Model() *netmodel.Model {
-	return &netmodel.Model{
-		Alpha:        p.Alpha,
-		Beta:         p.Beta,
-		SendOverhead: p.SendOverhead,
-		RecvOverhead: p.RecvOverhead,
-	}
-}
-
 // Validate checks the profile for usable constants.
 func (p Profile) Validate() error {
 	if p.Alpha < 0 || p.Beta <= 0 || p.SendOverhead < 0 || p.RecvOverhead < 0 {

@@ -26,10 +26,6 @@ func TestFromModelAndDefault(t *testing.T) {
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	back := p.Model()
-	if back.Alpha != m.Alpha || back.Beta != m.Beta {
-		t.Fatalf("Model() roundtrip lost constants")
-	}
 }
 
 func TestValidateRejectsGarbage(t *testing.T) {

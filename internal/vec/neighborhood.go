@@ -55,21 +55,6 @@ func (n Neighborhood) Equal(m Neighborhood) bool {
 	return true
 }
 
-// CanonicalEqual reports whether two neighborhoods are equal as multisets,
-// i.e. identical after lexicographic sorting. Section 2.2 of the paper uses
-// this weaker check ("identical to the neighborhood of the root in some
-// sorted order") when auto-detecting Cartesian neighborhoods from a
-// distributed graph.
-func (n Neighborhood) CanonicalEqual(m Neighborhood) bool {
-	if len(n) != len(m) {
-		return false
-	}
-	a, b := n.Clone(), m.Clone()
-	SortLex(a)
-	SortLex(b)
-	return Neighborhood(a).Equal(Neighborhood(b))
-}
-
 // Flatten serializes the neighborhood into a flat []int of length t*d,
 // the wire/argument format of Cart_neighborhood_create (Listing 1).
 func (n Neighborhood) Flatten() []int {
@@ -200,52 +185,6 @@ func Star(d, r int) (Neighborhood, error) {
 	return ns, nil
 }
 
-// Translate returns the neighborhood with offset added to every vector —
-// e.g. shifting a symmetric stencil into the paper's asymmetric (f ≠ −1)
-// families.
-func (n Neighborhood) Translate(offset Vec) Neighborhood {
-	out := make(Neighborhood, len(n))
-	for i, v := range n {
-		out[i] = v.Add(offset)
-	}
-	return out
-}
-
-// Scale returns the neighborhood with every coordinate multiplied by
-// factor — dilated stencils (a radius-1 star scaled by r touches the same
-// processes as the axis points of a radius-r star).
-func (n Neighborhood) Scale(factor int) Neighborhood {
-	out := make(Neighborhood, len(n))
-	for i, v := range n {
-		w := make(Vec, len(v))
-		for j, x := range v {
-			w[j] = x * factor
-		}
-		out[i] = w
-	}
-	return out
-}
-
-// Mirror returns the neighborhood with every offset negated: the source
-// view of a target neighborhood (and vice versa). For symmetric stencils
-// it is a permutation of the original.
-func (n Neighborhood) Mirror() Neighborhood {
-	out := make(Neighborhood, len(n))
-	for i, v := range n {
-		out[i] = v.Neg()
-	}
-	return out
-}
-
-// Union concatenates two neighborhoods (multiset union; order preserved).
-// Combine with Dedup to build composite stencils without repetitions.
-func (n Neighborhood) Union(m Neighborhood) Neighborhood {
-	out := make(Neighborhood, 0, len(n)+len(m))
-	out = append(out, n.Clone()...)
-	out = append(out, m.Clone()...)
-	return out
-}
-
 // Dedup returns the neighborhood with repeated offsets removed, keeping
 // first occurrences in order.
 func (n Neighborhood) Dedup() Neighborhood {
@@ -258,18 +197,6 @@ func (n Neighborhood) Dedup() Neighborhood {
 		}
 		seen[k] = struct{}{}
 		out = append(out, v.Clone())
-	}
-	return out
-}
-
-// WithoutZero returns a copy of the neighborhood with all zero vectors
-// removed (the pure communication part of a stencil).
-func (n Neighborhood) WithoutZero() Neighborhood {
-	var out Neighborhood
-	for _, v := range n {
-		if !v.IsZero() {
-			out = append(out, v.Clone())
-		}
 	}
 	return out
 }

@@ -63,15 +63,6 @@ func (v Vec) NonZeros() int {
 	return z
 }
 
-// Add returns the component-wise sum v + w.
-func (v Vec) Add(w Vec) Vec {
-	u := make(Vec, len(v))
-	for i := range v {
-		u[i] = v[i] + w[i]
-	}
-	return u
-}
-
 // Sub returns the component-wise difference v - w.
 func (v Vec) Sub(w Vec) Vec {
 	u := make(Vec, len(v))
@@ -88,15 +79,6 @@ func (v Vec) Neg() Vec {
 	for i := range v {
 		u[i] = -v[i]
 	}
-	return u
-}
-
-// Axis returns the vector that is zero everywhere except at coordinate k,
-// where it equals v[k]. In the paper's notation this is N[i]_k^0, the basis
-// step taken in phase k of the message-combining schedules.
-func (v Vec) Axis(k int) Vec {
-	u := make(Vec, len(v))
-	u[k] = v[k]
 	return u
 }
 

@@ -26,17 +26,11 @@ func TestVecBasics(t *testing.T) {
 	if got := v.NonZeros(); got != 2 {
 		t.Errorf("NonZeros(%v) = %d, want 2", v, got)
 	}
-	if got := v.Add(Vec{1, 1, 1}); !got.Equal(Vec{2, -1, 1}) {
-		t.Errorf("Add = %v", got)
-	}
 	if got := v.Sub(Vec{1, 1, 1}); !got.Equal(Vec{0, -3, -1}) {
 		t.Errorf("Sub = %v", got)
 	}
 	if got := v.Neg(); !got.Equal(Vec{-1, 2, 0}) {
 		t.Errorf("Neg = %v", got)
-	}
-	if got := v.Axis(1); !got.Equal(Vec{0, -2, 0}) {
-		t.Errorf("Axis = %v", got)
 	}
 	if got := v.String(); got != "(1,-2,0)" {
 		t.Errorf("String = %q", got)
@@ -528,18 +522,8 @@ func TestNeighborhoodEqualAndCanonical(t *testing.T) {
 	if a.Equal(b) {
 		t.Error("order-sensitive Equal matched permuted lists")
 	}
-	if !a.CanonicalEqual(b) {
-		t.Error("CanonicalEqual failed on permuted lists")
-	}
-	c := Neighborhood{{0, 1}, {1, 0}, {2, 2}}
-	if a.CanonicalEqual(c) {
-		t.Error("CanonicalEqual matched different multisets")
-	}
-	// Repetitions matter as multiset elements.
-	d := Neighborhood{{0, 1}, {0, 1}, {1, 0}}
-	e := Neighborhood{{0, 1}, {1, 0}, {1, 0}}
-	if d.CanonicalEqual(e) {
-		t.Error("CanonicalEqual ignored multiplicities")
+	if !a.Equal(a.Clone()) {
+		t.Error("Equal failed on a copy")
 	}
 }
 
@@ -547,10 +531,6 @@ func TestNeighborhoodHelpers(t *testing.T) {
 	ns := Neighborhood{{0, 0}, {1, 0}, {0, 0}, {0, -1}}
 	if !ns.HasZero() {
 		t.Error("HasZero false")
-	}
-	wz := ns.WithoutZero()
-	if len(wz) != 2 || wz.HasZero() {
-		t.Errorf("WithoutZero = %v", wz)
 	}
 	if ns.Dims() != 2 {
 		t.Errorf("Dims = %d", ns.Dims())
@@ -569,39 +549,10 @@ func TestNeighborhoodHelpers(t *testing.T) {
 	}
 }
 
-func TestNeighborhoodTransforms(t *testing.T) {
-	n := Neighborhood{{0, 1}, {1, 0}}
-	tr := n.Translate(Vec{1, 1})
-	if !tr.Equal(Neighborhood{{1, 2}, {2, 1}}) {
-		t.Errorf("Translate = %v", tr)
-	}
-	sc := n.Scale(3)
-	if !sc.Equal(Neighborhood{{0, 3}, {3, 0}}) {
-		t.Errorf("Scale = %v", sc)
-	}
-	mi := n.Mirror()
-	if !mi.Equal(Neighborhood{{0, -1}, {-1, 0}}) {
-		t.Errorf("Mirror = %v", mi)
-	}
-	// Transforms return copies.
-	tr[0][0] = 99
-	if n[0][0] == 99 {
-		t.Error("Translate aliases the original")
-	}
-	// Moore neighborhoods are mirror-symmetric as multisets.
-	m, _ := Moore(2, 1)
-	if !m.Mirror().CanonicalEqual(m) {
-		t.Error("Moore mirror not canonical-equal")
-	}
-}
-
 func TestNeighborhoodUnionDedup(t *testing.T) {
 	a := Neighborhood{{0, 1}, {1, 0}}
 	b := Neighborhood{{1, 0}, {1, 1}}
-	u := a.Union(b)
-	if len(u) != 4 {
-		t.Fatalf("Union size %d", len(u))
-	}
+	u := append(a.Clone(), b...)
 	d := u.Dedup()
 	if len(d) != 3 {
 		t.Fatalf("Dedup size %d: %v", len(d), d)
@@ -613,7 +564,10 @@ func TestNeighborhoodUnionDedup(t *testing.T) {
 	star, _ := VonNeumann(2, 1)
 	corners := Neighborhood{{-1, -1}, {-1, 1}, {1, -1}, {1, 1}}
 	moore, _ := Moore(2, 1)
-	if !star.Union(corners).Dedup().CanonicalEqual(moore) {
+	composite := append(star.Clone(), corners...).Dedup()
+	SortLex(composite)
+	SortLex(moore)
+	if !composite.Equal(moore) {
 		t.Error("star ∪ corners != Moore")
 	}
 }
