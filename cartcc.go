@@ -368,12 +368,6 @@ func AllgatherwInit(c *Comm, sendLayout Layout, recvLayouts []Layout, algo Algor
 // element type binds at execution time.
 func RunPlan[T any](p *Plan, send, recv []T) error { return cart.Run(p, send, recv) }
 
-// MeshAlltoallInit precomputes the mesh-aware message-combining alltoall
-// plan — the non-periodic case the paper leaves open (Section 2): every
-// process derives its own relay set locally and pairing stays
-// deadlock-free. On a torus it matches AlltoallInit with Combining.
-func MeshAlltoallInit(c *Comm, m int) (*Plan, error) { return cart.MeshAlltoallInit(c, m) }
-
 // Future is an in-flight nonblocking collective committed to the
 // communicator's progress engine: Wait blocks for completion.
 // Multiple futures may be in flight per communicator; all ranks must

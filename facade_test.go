@@ -448,7 +448,7 @@ func TestFacadeMeshAlltoallInit(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		p, err := cartcc.MeshAlltoallInit(c, 2)
+		p, err := cartcc.AlltoallInit(c, 2, cartcc.Combining)
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package cart
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -106,42 +107,66 @@ func TestPredictedVsObserved(t *testing.T) {
 	}
 }
 
-// TestPredictedVsObservedMesh: on a non-periodic mesh, boundary ranks
-// plan (and do) strictly less than the interior bounds, but Check's
-// planned-vs-observed equality must still hold rank by rank.
+// TestPredictedVsObservedMesh: on a non-periodic mesh every rank's plan
+// records the interior C and V; interior ranks plan exactly those and
+// boundary ranks strictly less, and Check's planned-vs-observed equality
+// holds rank by rank with non-vacuous block counts.
 func TestPredictedVsObservedMesh(t *testing.T) {
 	nbh, err := vec.Moore(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = mpi.Run(mpi.Config{Procs: 16, Timeout: time.Minute}, func(w *mpi.Comm) error {
-		c, err := NeighborhoodCreate(w, []int{4, 4}, []bool{false, false}, nbh, nil, WithAlgorithm(Combining))
-		if err != nil {
-			return err
-		}
-		const m = 4
-		plan, err := AlltoallInit(c, m, Combining)
-		if err != nil {
-			return err
-		}
-		send := make([]int32, len(nbh)*m)
-		recv := make([]int32, len(nbh)*m)
-		for i := 0; i < 2; i++ {
-			if err := Run(plan, send, recv); err != nil {
+	for _, tc := range []struct {
+		op     OpKind
+		blocks int
+	}{{OpAlltoall, 12}, {OpAllgather, 8}} {
+		err = mpi.Run(mpi.Config{Procs: 16, Timeout: time.Minute}, func(w *mpi.Comm) error {
+			c, err := NeighborhoodCreate(w, []int{4, 4}, []bool{false, false}, nbh, nil, WithAlgorithm(Combining))
+			if err != nil {
 				return err
 			}
+			const m = 4
+			init, sendLen := AlltoallInit, len(nbh)*m
+			if tc.op == OpAllgather {
+				init, sendLen = AllgatherInit, m
+			}
+			plan, err := init(c, m, Combining)
+			if err != nil {
+				return err
+			}
+			send := make([]int32, sendLen)
+			recv := make([]int32, len(nbh)*m)
+			for i := 0; i < 2; i++ {
+				if err := Run(plan, send, recv); err != nil {
+					return err
+				}
+			}
+			s := plan.Stats()
+			if err := s.Check(); err != nil {
+				return err
+			}
+			predC, predV := Predicted(nbh, tc.op, Combining)
+			if s.PredictedRounds != predC || s.PredictedVolume != predV {
+				return fmt.Errorf("%v rank %d: plan predicts C=%d V=%d, analysis C=%d V=%d",
+					tc.op, w.Rank(), s.PredictedRounds, s.PredictedVolume, predC, predV)
+			}
+			coords := c.Coords()
+			interior := coords[0] >= 1 && coords[0] <= 2 && coords[1] >= 1 && coords[1] <= 2
+			switch {
+			case interior && (!s.Interior() || s.PlannedBlocks != tc.blocks):
+				return fmt.Errorf("%v interior rank %d: Interior()=%v, %d planned blocks, want %d",
+					tc.op, w.Rank(), s.Interior(), s.PlannedBlocks, tc.blocks)
+			case !interior && s.Interior():
+				return fmt.Errorf("%v boundary rank %d reports interior bounds", tc.op, w.Rank())
+			}
+			if s.PlannedMessages > 0 && s.BlocksForwarded == 0 {
+				return fmt.Errorf("%v rank %d sends %d messages per execution but forwarded no blocks",
+					tc.op, w.Rank(), s.PlannedMessages)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		s := plan.Stats()
-		if err := s.Check(); err != nil {
-			return err
-		}
-		// Rank 0 sits in the mesh corner: it must have dropped rounds.
-		if w.Rank() == 0 && s.Interior() {
-			t.Error("corner rank of a non-periodic mesh reports interior bounds")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }

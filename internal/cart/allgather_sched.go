@@ -141,15 +141,25 @@ func buildTreeNode(nbh vec.Neighborhood, dimOrder []int, members []int, level, c
 // (Proposition 3.3). Zero-offset neighbors and duplicated offsets become
 // local copies.
 func AllgatherSchedule(nbh vec.Neighborhood) *Schedule {
-	return allgatherScheduleOrdered(nbh, nil)
+	return allgatherSchedule(nbh, boundary{})
 }
 
-// allgatherScheduleOrdered is AllgatherSchedule with an explicit dimension
-// order, used by the dimension-order ablation benchmarks.
-func allgatherScheduleOrdered(nbh vec.Neighborhood, dimOrder []int) *Schedule {
-	tr := BuildAllgatherTree(nbh, dimOrder)
+// allgatherSchedule is AllgatherSchedule as seen from the rank of b. On a
+// grid with a boundary (boundary.go) subtrees whose origin or targets all
+// fall off the grid do not exist: the rank receives subtree s iff s is at
+// the rank, and sends it iff s is at the round's target. If s is at the
+// target its parent is at the sender (same origin, more members), so the
+// staging it forwards from exists. Members resting at a node have their
+// target at the node's own position, so the landing rule carries over;
+// the rank numbers temp slots only for the subtrees it receives.
+func allgatherSchedule(nbh vec.Neighborhood, b boundary) *Schedule {
+	tr := BuildAllgatherTree(nbh, nil)
 	d := nbh.Dims()
 	s := &Schedule{Op: OpAllgather, Algo: Combining, DimOrder: tr.DimOrder}
+	var prefix map[*TreeNode]vec.Vec
+	if b.mesh() {
+		prefix = treePrefixes(tr)
+	}
 
 	// lastHopLevel[i] is the last level (in tree dimension order) at which
 	// neighbor i has a non-zero coordinate; -1 for the zero offset. A
@@ -173,13 +183,17 @@ func allgatherScheduleOrdered(nbh vec.Neighborhood, dimOrder []int) *Schedule {
 		var hopping []*TreeNode
 		for _, parent := range frontier {
 			for _, ch := range parent.Children {
+				next = append(next, ch)
 				if ch.Coord == 0 {
 					// Pass-through: no communication, inherit staging.
 					ch.landBuf, ch.landSlot = parent.landBuf, parent.landSlot
-					next = append(next, ch)
 					continue
 				}
+				hopping = append(hopping, ch)
 				ch.fromBuf, ch.fromSlot = parent.landBuf, parent.landSlot
+				if b.mesh() && !b.holds(b.rank, prefix[ch], nbh, ch.Members, false) {
+					continue // never received here: no landing
+				}
 				resting := -1
 				for _, m := range ch.Members {
 					if lastHopLevel[m] <= level {
@@ -194,23 +208,23 @@ func allgatherScheduleOrdered(nbh vec.Neighborhood, dimOrder []int) *Schedule {
 					s.TempSlots++
 					s.NeedTemp = true
 				}
-				hopping = append(hopping, ch)
-				next = append(next, ch)
 			}
 		}
-		rounds := groupRounds(hopping, k, d)
+		rounds := groupRounds(hopping, k, d, nbh, b, prefix)
 		s.Phases = append(s.Phases, Phase{Dim: k, Rounds: rounds})
 		s.Rounds += len(rounds)
-		for _, r := range rounds {
-			s.Volume += len(r.Moves)
-		}
+		s.Volume += len(hopping)
 		frontier = next
 	}
 
 	// Leaves: every member not already final at its own receive position —
 	// duplicated offsets and the zero offset — is served by a local copy
-	// from the leaf's staging.
+	// from the leaf's staging. A leaf is at this rank iff its members'
+	// common source is on the grid.
 	for _, leaf := range frontier {
+		if b.mesh() && !b.holds(b.rank, prefix[leaf], nbh, leaf.Members, false) {
+			continue
+		}
 		for _, m := range leaf.Members {
 			if leaf.landBuf == BufRecv && m == leaf.landSlot {
 				continue
@@ -222,16 +236,19 @@ func allgatherScheduleOrdered(nbh vec.Neighborhood, dimOrder []int) *Schedule {
 }
 
 // groupRounds buckets the hopping nodes of one level by coordinate and
-// emits one round per distinct value, moves in stable node order.
-func groupRounds(hopping []*TreeNode, k, d int) []Round {
+// emits one round per distinct value, moves in stable node order. On a
+// grid with a boundary a node's move is sent only if the node is at the
+// round's target and received only if it is at this rank.
+func groupRounds(hopping []*TreeNode, k, d int, nbh vec.Neighborhood, b boundary, prefix map[*TreeNode]vec.Vec) []Round {
 	if len(hopping) == 0 {
 		return nil
 	}
 	sorted := append([]*TreeNode(nil), hopping...)
-	sort.SliceStable(sorted, func(a, b int) bool { return sorted[a].Coord < sorted[b].Coord })
+	sortNodesByCoord(sorted)
 	var rounds []Round
 	var cur *Round
 	curCoord := 0
+	dst, dstOK := 0, false
 	for _, n := range sorted {
 		if cur == nil || n.Coord != curCoord {
 			rel := make(vec.Vec, d)
@@ -239,14 +256,38 @@ func groupRounds(hopping []*TreeNode, k, d int) []Round {
 			rounds = append(rounds, Round{Rel: rel})
 			cur = &rounds[len(rounds)-1]
 			curCoord = n.Coord
+			if b.mesh() {
+				cur.RecvMoves = []Move{}
+				dst, dstOK = b.grid.RankDisplace(b.rank, rel)
+			}
 		}
-		cur.Moves = append(cur.Moves, Move{
+		mv := Move{
 			Block:    n.Rep(),
 			From:     n.fromBuf,
 			FromSlot: n.fromSlot,
 			To:       n.landBuf,
 			ToSlot:   n.landSlot,
-		})
+		}
+		if !b.mesh() {
+			cur.Moves = append(cur.Moves, mv)
+			continue
+		}
+		if dstOK && b.holds(dst, prefix[n], nbh, n.Members, false) {
+			cur.Moves = append(cur.Moves, mv)
+		}
+		if b.holds(b.rank, prefix[n], nbh, n.Members, false) {
+			cur.RecvMoves = append(cur.RecvMoves, mv)
+		}
 	}
 	return rounds
+}
+
+// sortNodesByCoord stable-sorts tree nodes by their hop coordinate
+// (insertion sort; per-level node counts are small).
+func sortNodesByCoord(nodes []*TreeNode) {
+	for i := 1; i < len(nodes); i++ {
+		for j := i; j > 0 && nodes[j].Coord < nodes[j-1].Coord; j-- {
+			nodes[j], nodes[j-1] = nodes[j-1], nodes[j]
+		}
+	}
 }

@@ -446,6 +446,48 @@ func TestRepeatInitIsCacheHit(t *testing.T) {
 	}
 }
 
+// TestTorusCompileAllocs: the boundary predicate is a parameter of the
+// schedule builders, and on a torus they must not pay for it. A from-
+// scratch combining compile on the 3x3x3 Moore torus (m = 8) may allocate
+// no more than it did when tori and meshes had separate compilers: 477
+// objects for the alltoall, 449 for the allgather.
+func TestTorusCompileAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	nbh, err := vec.Moore(3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runWorld(t, 27, func(w *mpi.Comm) error {
+		c, err := NeighborhoodCreate(w, []int{3, 3, 3}, nil, nbh, nil)
+		if err != nil || w.Rank() != 0 {
+			return err
+		}
+		for _, tc := range []struct {
+			op    OpKind
+			bound float64
+		}{{OpAlltoall, 477}, {OpAllgather, 449}} {
+			geom := uniformGeometry(tc.op, 8)
+			var compileErr error
+			allocs := testing.AllocsPerRun(20, func() {
+				c.alltoallSched, c.allgatherSched = nil, nil
+				if _, _, err := c.compilePlan(tc.op, Combining, geom, nil); err != nil {
+					compileErr = err
+				}
+			})
+			if compileErr != nil {
+				return compileErr
+			}
+			t.Logf("%v torus compile: %.0f allocs (bound %.0f)", tc.op, allocs, tc.bound)
+			if allocs > tc.bound {
+				return fmt.Errorf("%v torus compile allocates %.0f objects, want <= %.0f", tc.op, allocs, tc.bound)
+			}
+		}
+		return nil
+	})
+}
+
 // algoName renders the algorithm for subtest names.
 func algoName(a Algorithm) string {
 	switch a {

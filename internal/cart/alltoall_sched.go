@@ -27,6 +27,19 @@ func identityOrder(d int) []int {
 // The resulting schedule has C = Σ_k C_k rounds and per-process volume
 // V = Σ_i z_i blocks (Proposition 3.2).
 func AlltoallSchedule(nbh vec.Neighborhood) *Schedule {
+	return alltoallSchedule(nbh, boundary{})
+}
+
+// alltoallSchedule is AlltoallSchedule as seen from the rank of b. On a
+// grid with a boundary (boundary.go) a block moves in a round at this rank
+// only if the rank holds it when the phase starts (block i is at r then
+// iff its origin r − prefix_k(N[i]) and target are on the grid), and the
+// round's receive list is what the partner at −Rel holds by the same
+// test. Intermediates then always stage in the temp buffer: a transit
+// block may pass through a process that never receives its own block i,
+// and staging it in the receive buffer would leave transit data in a slot
+// that must stay untouched.
+func alltoallSchedule(nbh vec.Neighborhood, b boundary) *Schedule {
 	d := nbh.Dims()
 	t := len(nbh)
 	s := &Schedule{Op: OpAlltoall, Algo: Combining, DimOrder: identityOrder(d), TempSlots: t}
@@ -47,7 +60,8 @@ func AlltoallSchedule(nbh vec.Neighborhood) *Schedule {
 		var rounds []Round
 		var cur *Round
 		curCoord := 0
-		for _, i := range order {
+		src, srcOK := 0, false
+		for j, i := range order {
 			ck := nbh[i][k]
 			if ck == 0 {
 				continue
@@ -58,24 +72,26 @@ func AlltoallSchedule(nbh vec.Neighborhood) *Schedule {
 				rounds = append(rounds, Round{Rel: rel})
 				cur = &rounds[len(rounds)-1]
 				curCoord = ck
+				if b.mesh() {
+					cur.RecvMoves = []Move{}
+					src, srcOK = b.grid.RankDisplaceNeg(b.rank, rel)
+				}
 			}
-			h := hops[i] // remaining hops including this one
-			mv := Move{Block: i, FromSlot: i, ToSlot: i}
-			switch {
-			case h == zi[i]:
-				mv.From = BufSend // first hop: out of the user send buffer
-			case h%2 == 0:
-				mv.From = BufRecv
-			default:
-				mv.From = BufTemp
-			}
-			if h%2 == 1 {
-				mv.To = BufRecv // odd remaining hops: this or a later odd hop lands here
-			} else {
-				mv.To = BufTemp
+			mv := alltoallMove(i, hops[i], zi[i], b.mesh())
+			if mv.To == BufTemp {
 				s.NeedTemp = true
 			}
-			cur.Moves = append(cur.Moves, mv)
+			if !b.mesh() {
+				cur.Moves = append(cur.Moves, mv)
+			} else {
+				prefix := prefixBefore(nbh[i], k)
+				if b.holds(b.rank, prefix, nbh, order[j:j+1], false) {
+					cur.Moves = append(cur.Moves, mv)
+				}
+				if srcOK && b.holds(src, prefix, nbh, order[j:j+1], false) {
+					cur.RecvMoves = append(cur.RecvMoves, mv)
+				}
+			}
 			hops[i]--
 			s.Volume++
 		}
@@ -83,4 +99,26 @@ func AlltoallSchedule(nbh vec.Neighborhood) *Schedule {
 		s.Rounds += len(rounds)
 	}
 	return s
+}
+
+// alltoallMove is block i's move at the hop with h of its zi hops left:
+// the first hop reads the user send buffer and the last lands in the
+// receive buffer. In between, the torus alternates receive and temp
+// buffer by parity; tempOnly stages every intermediate in temp slot i.
+func alltoallMove(i, h, zi int, tempOnly bool) Move {
+	mv := Move{Block: i, FromSlot: i, ToSlot: i}
+	switch {
+	case h == zi:
+		mv.From = BufSend
+	case h%2 == 0 && !tempOnly:
+		mv.From = BufRecv
+	default:
+		mv.From = BufTemp
+	}
+	if h == 1 || (h%2 == 1 && !tempOnly) {
+		mv.To = BufRecv
+	} else {
+		mv.To = BufTemp
+	}
+	return mv
 }

@@ -68,7 +68,8 @@ type Comm struct {
 	algo    Algorithm
 
 	// Cached symbolic schedules (neighborhood structure only, block-size
-	// independent — Section 3.3 of the paper).
+	// independent — Section 3.3 of the paper; on a grid with a boundary,
+	// this rank's own).
 	alltoallSched  *Schedule
 	allgatherSched *Schedule
 
@@ -390,8 +391,8 @@ func (c *Comm) NeighborGet() (sources, sourceWeights, targets, targetWeights []i
 // be modified.
 func (c *Comm) Sources() []int { return c.sources }
 
-// IsPeriodic reports whether every dimension is periodic (a torus), the
-// precondition of the message-combining schedules.
+// IsPeriodic reports whether every dimension is periodic (a torus): then
+// every rank compiles the same plan up to its peers.
 func (c *Comm) IsPeriodic() bool {
 	for _, p := range c.grid.Periods {
 		if !p {

@@ -10,9 +10,9 @@ import (
 	"cartcc/internal/vec"
 )
 
-// checkMeshAlltoall runs the mesh-aware combining alltoall and compares
-// against the reference (which already honors mesh boundaries by skipping
-// missing sources).
+// checkMeshAlltoall runs the combining alltoall on a grid with a boundary
+// and compares against the reference (which already honors mesh
+// boundaries by skipping missing sources).
 func checkMeshAlltoall(t *testing.T, dims []int, periods []bool, nbh vec.Neighborhood, m int) {
 	t.Helper()
 	runWorld(t, gridSize(dims), func(w *mpi.Comm) error {
@@ -27,7 +27,7 @@ func checkMeshAlltoall(t *testing.T, dims []int, periods []bool, nbh vec.Neighbo
 				send[i*m+e] = encode(w.Rank(), i, e)
 			}
 		}
-		plan, err := MeshAlltoallInit(c, m)
+		plan, err := AlltoallInit(c, m, Combining)
 		if err != nil {
 			return err
 		}
@@ -77,32 +77,29 @@ func TestMeshCombiningAlltoallAsymmetric(t *testing.T) {
 	checkMeshAlltoall(t, []int{4, 4}, []bool{false, false}, nbh, 2)
 }
 
-func TestMeshCombiningEqualsTorusCombiningOnTorus(t *testing.T) {
-	// On a fully periodic grid the mesh plan must behave exactly like the
-	// torus combining plan.
-	nbh := mustStencil(t, 2, 3, -1)
-	checkMeshAlltoall(t, []int{3, 3}, nil, nbh, 2)
-	// And its round/volume accounting matches the torus schedule.
-	grid, _ := vec.NewGrid([]int{5, 5}, nil)
-	s := MeshAlltoallSchedule(grid, 12, nbh)
-	torus := AlltoallSchedule(nbh)
-	if s.Rounds != torus.Rounds || s.Volume != torus.Volume {
-		t.Errorf("torus-degenerate mesh schedule: %d/%d vs %d/%d", s.Rounds, s.Volume, torus.Rounds, torus.Volume)
-	}
-}
-
 func TestMeshScheduleBoundaryVolumesShrink(t *testing.T) {
-	// A corner process of a mesh relays fewer blocks than an interior one.
+	// A corner process of a mesh relays fewer blocks than an interior one,
+	// which relays exactly the torus volume.
 	grid, _ := vec.NewGrid([]int{5, 5}, []bool{false, false})
 	nbh := mustStencil(t, 2, 3, -1)
-	corner := MeshAlltoallSchedule(grid, 0, nbh) // coordinate (0,0)
-	interiorRank, _ := grid.RankOf(vec.Vec{2, 2})
-	interior := MeshAlltoallSchedule(grid, interiorRank, nbh)
-	if corner.Volume >= interior.Volume {
-		t.Errorf("corner volume %d not below interior %d", corner.Volume, interior.Volume)
+	torus := AlltoallSchedule(nbh)
+	sent := func(rank int) int {
+		s := alltoallSchedule(nbh, boundary{grid: grid, rank: rank})
+		n := 0
+		for _, ph := range s.Phases {
+			for _, r := range ph.Rounds {
+				n += len(r.Moves)
+			}
+		}
+		return n
 	}
-	if interior.Volume != AlltoallSchedule(nbh).Volume {
-		t.Errorf("interior volume %d differs from torus %d", interior.Volume, AlltoallSchedule(nbh).Volume)
+	interiorRank, _ := grid.RankOf(vec.Vec{2, 2})
+	corner, interior := sent(0), sent(interiorRank) // coordinates (0,0), (2,2)
+	if corner >= interior {
+		t.Errorf("corner volume %d not below interior %d", corner, interior)
+	}
+	if interior != torus.Volume {
+		t.Errorf("interior volume %d differs from torus %d", interior, torus.Volume)
 	}
 }
 
@@ -128,17 +125,6 @@ func TestMeshCombiningRandom(t *testing.T) {
 	}
 }
 
-// meshAllgatherPlan compiles the mesh-aware combining allgather directly,
-// on any grid: on a torus it must match the torus combining plan.
-func meshAllgatherPlan(c *Comm, m int) (*Plan, error) {
-	p, err := c.compileMeshAllgather(uniformGeometry(OpAllgather, m))
-	if err != nil {
-		return nil, err
-	}
-	p.setLens(m, len(c.nbh)*m)
-	return p, nil
-}
-
 // checkMeshAllgather mirrors checkMeshAlltoall for the allgather family.
 func checkMeshAllgather(t *testing.T, dims []int, periods []bool, nbh vec.Neighborhood, m int) {
 	t.Helper()
@@ -151,7 +137,7 @@ func checkMeshAllgather(t *testing.T, dims []int, periods []bool, nbh vec.Neighb
 		for e := 0; e < m; e++ {
 			send[e] = encode(w.Rank(), 0, e)
 		}
-		plan, err := meshAllgatherPlan(c, m)
+		plan, err := AllgatherInit(c, m, Combining)
 		if err != nil {
 			return err
 		}
@@ -197,30 +183,6 @@ func TestMeshCombiningAllgatherMixedPeriodicity(t *testing.T) {
 	checkMeshAllgather(t, []int{3, 4}, []bool{true, false}, nbh, 2)
 }
 
-func TestMeshAllgatherTorusDegenerate(t *testing.T) {
-	// On a torus the mesh plan must match the torus combining accounting.
-	nbh := mustStencil(t, 2, 3, -1)
-	checkMeshAllgather(t, []int{3, 3}, nil, nbh, 2)
-	runWorld(t, 9, func(w *mpi.Comm) error {
-		c, err := NeighborhoodCreate(w, []int{3, 3}, nil, nbh, nil)
-		if err != nil {
-			return err
-		}
-		mesh, err := meshAllgatherPlan(c, 1)
-		if err != nil {
-			return err
-		}
-		torus, err := AllgatherInit(c, 1, Combining)
-		if err != nil {
-			return err
-		}
-		if mesh.Rounds() != torus.Rounds() || mesh.SendElements() != torus.SendElements() {
-			return fmt.Errorf("mesh %d/%d vs torus %d/%d", mesh.Rounds(), mesh.SendElements(), torus.Rounds(), torus.SendElements())
-		}
-		return nil
-	})
-}
-
 func TestMeshCombiningAllgatherRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(66))
 	trials := 15
@@ -250,7 +212,7 @@ func TestMeshAllgatherBoundaryVolumeShrinks(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		p, err := meshAllgatherPlan(c, 1)
+		p, err := AllgatherInit(c, 1, Combining)
 		if err != nil {
 			return err
 		}
@@ -265,4 +227,97 @@ func TestMeshAllgatherBoundaryVolumeShrinks(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestAutoOnMeshAgreesAcrossRanks: Auto's cut-off must resolve the same
+// way on every rank of a mesh, or an interior rank running the trivial
+// schedule waits for messages its combining neighbors never send. Every
+// rank's plan records the interior C and V, so the decision is global;
+// the block sizes straddle the alltoall cut-off.
+func TestAutoOnMeshAgreesAcrossRanks(t *testing.T) {
+	nbh, err := vec.Moore(2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tn := len(nbh)
+	for _, op := range []OpKind{OpAlltoall, OpAllgather} {
+		for _, m := range []int{1, 16384, 65536} {
+			chosen := make([]Algorithm, 16)
+			runWorld(t, 16, func(w *mpi.Comm) error {
+				c, err := NeighborhoodCreate(w, []int{4, 4}, []bool{false, false}, nbh, nil)
+				if err != nil {
+					return err
+				}
+				init, sendLen := AlltoallInit, tn*m
+				if op == OpAllgather {
+					init, sendLen = AllgatherInit, m
+				}
+				auto, err := init(c, m, Auto)
+				if err != nil {
+					return err
+				}
+				triv, err := init(c, m, Trivial)
+				if err != nil {
+					return err
+				}
+				send := make([]int32, sendLen)
+				for j := range send {
+					send[j] = int32(w.Rank()*tn*m + j)
+				}
+				got, want := make([]int32, tn*m), make([]int32, tn*m)
+				for j := range got {
+					got[j], want[j] = -1, -1
+				}
+				if err := Run(auto, send, got); err != nil {
+					return err
+				}
+				if err := Run(triv, send, want); err != nil {
+					return err
+				}
+				if !reflect.DeepEqual(got, want) {
+					return fmt.Errorf("%v m=%d rank %d: Auto payload differs from the trivial oracle", op, m, w.Rank())
+				}
+				dec, ok := auto.Decision()
+				if !ok {
+					return fmt.Errorf("%v m=%d rank %d: no decision after Run", op, m, w.Rank())
+				}
+				chosen[w.Rank()] = dec.Chosen
+				return nil
+			})
+			for r, a := range chosen {
+				if a != chosen[0] {
+					t.Fatalf("%v m=%d: rank %d chose %v, rank 0 chose %v", op, m, r, a, chosen[0])
+				}
+			}
+			t.Logf("%v m=%d: every rank chose %v", op, m, chosen[0])
+		}
+	}
+}
+
+// TestBoundarySchedulesValidate: every rank's schedule on the compiled-plan
+// topologies passes Validate and records the torus schedule's C and V, the
+// interior bounds its plan reports.
+func TestBoundarySchedulesValidate(t *testing.T) {
+	for _, tc := range compiledCases(t) {
+		g, err := vec.NewGrid(tc.dims, tc.periods)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < g.Size(); r++ {
+			b := boundary{grid: g, rank: r}
+			for _, pair := range [][2]*Schedule{
+				{alltoallSchedule(tc.nbh, b), AlltoallSchedule(tc.nbh)},
+				{allgatherSchedule(tc.nbh, b), AllgatherSchedule(tc.nbh)},
+			} {
+				s, torus := pair[0], pair[1]
+				if err := s.Validate(len(tc.nbh)); err != nil {
+					t.Fatalf("%s rank %d %v: %v", tc.name, r, s.Op, err)
+				}
+				if s.Rounds != torus.Rounds || s.Volume != torus.Volume {
+					t.Fatalf("%s rank %d %v: records C=%d V=%d, torus C=%d V=%d",
+						tc.name, r, s.Op, s.Rounds, s.Volume, torus.Rounds, torus.Volume)
+				}
+			}
+		}
+	}
 }

@@ -42,9 +42,9 @@ func WithBarrieredPhases() PlanOption {
 // mutation smoke checks: f plants a controlled defect (say, skewing one
 // move's destination slot) and the differential oracles must catch it. The
 // clone keeps the communicator's cached schedules pristine, so plans built
-// without the option are unaffected. The transform covers the torus
-// schedules (trivial and combining); the mesh compilers derive their plans
-// without a symbolic schedule and ignore it.
+// without the option are unaffected. On a grid with a boundary f sees
+// the calling rank's own combining schedule, whose rounds carry separate
+// receive lists (Round.RecvMoves).
 func WithScheduleTransform(f func(*Schedule)) PlanOption {
 	return func(o *planOptions) { o.transform = f }
 }
@@ -62,23 +62,21 @@ func (po *planOptions) fence(algo Algorithm) fence {
 }
 
 // scheduleFor returns the symbolic schedule for (op, algo), cached on the
-// communicator since it depends only on the neighborhood (Section 3.3).
+// communicator since it depends only on the neighborhood (Section 3.3) —
+// and, on a grid with a boundary, on the communicator's rank.
 func (c *Comm) scheduleFor(op OpKind, algo Algorithm) (*Schedule, error) {
 	switch algo {
 	case Trivial:
 		return TrivialSchedule(c.nbh, op), nil
 	case Combining:
-		if !c.IsPeriodic() {
-			return nil, fmt.Errorf("cart: the message-combining schedules require a fully periodic torus; use the Trivial algorithm on meshes")
-		}
 		if op == OpAlltoall {
 			if c.alltoallSched == nil {
-				c.alltoallSched = AlltoallSchedule(c.nbh)
+				c.alltoallSched = alltoallSchedule(c.nbh, c.boundary())
 			}
 			return c.alltoallSched, nil
 		}
 		if c.allgatherSched == nil {
-			c.allgatherSched = AllgatherSchedule(c.nbh)
+			c.allgatherSched = allgatherSchedule(c.nbh, c.boundary())
 		}
 		return c.allgatherSched, nil
 	default:
@@ -156,22 +154,8 @@ func (c *Comm) compileAndLand(fl *planFlight, op OpKind, algo Algorithm, geom Bl
 }
 
 // compilePlan compiles (op, algo, geometry) for this communicator from
-// scratch, returning the symbolic schedule it compiled (nil for the mesh
-// combining plans, which are derived without one).
+// scratch, returning the symbolic schedule it compiled.
 func (c *Comm) compilePlan(op OpKind, algo Algorithm, geom BlockGeometry, transform func(*Schedule)) (*Plan, *Schedule, error) {
-	if algo == Combining && !c.IsPeriodic() {
-		// The mesh-aware combining schedules (mesh.go,
-		// mesh_allgather.go): per-process plans derived locally,
-		// deadlock-free by the shared predicate.
-		var p *Plan
-		var err error
-		if op == OpAlltoall {
-			p, err = c.compileMesh(geom)
-		} else {
-			p, err = c.compileMeshAllgather(geom)
-		}
-		return p, nil, err
-	}
 	sched, err := c.scheduleFor(op, algo)
 	if err != nil {
 		return nil, nil, err

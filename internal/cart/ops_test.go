@@ -268,8 +268,8 @@ func TestMeshTrivialSkipsMissingNeighbors(t *testing.T) {
 }
 
 func TestCombiningOnMeshes(t *testing.T) {
-	// Both families have mesh-aware combining schedules (mesh.go,
-	// mesh_allgather.go); Auto composes them with the trivial fallback.
+	// Both families' combining schedules honor the mesh boundary
+	// (boundary.go); Auto composes them with the trivial fallback.
 	nbh := mustStencil(t, 1, 3, -1)
 	runWorld(t, 4, func(w *mpi.Comm) error {
 		for _, algo := range []Algorithm{Combining, Auto} {
@@ -608,7 +608,7 @@ func TestMeshPlanCostShrinksAtBoundary(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		p, err := MeshAlltoallInit(c, 1)
+		p, err := AlltoallInit(c, 1, Combining)
 		if err != nil {
 			return err
 		}

@@ -37,9 +37,9 @@ import (
 // recvFrom resolved from the binding rank — a handful of allocations. The
 // composites, copies, DAG and tags are rank-independent on a torus (every
 // peer exists, so no round is ever skipped) and stay shared. A mesh
-// master is per rank: which rounds exist and which blocks they carry
-// depend on the faces the rank touches (the ProcNull pattern), so bind
-// shares its rounds whole.
+// master is per rank: the boundary predicate (boundary.go) decides which
+// blocks its rounds carry and which rounds exist at all, so bind shares
+// its rounds whole.
 //
 // Single-flight misses. The ranks of a world create their communicators
 // together and miss together. The first caller for a key registers an

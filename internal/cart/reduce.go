@@ -66,8 +66,8 @@ func (p *ReducePlan) Volume() int { return p.volume }
 // NeighborReduceInit precomputes a reduction plan for blocks of m
 // elements. Auto picks Combining (like the allgather, its volume matches
 // the trivial algorithm's on stencil families, so it wins at every block
-// size); on non-periodic meshes the Combining plan uses the pruned
-// reversed trees of mesh_reduce.go.
+// size); on a grid with a boundary the Combining plan prunes the reversed
+// tree by the boundary predicate (boundary.go).
 func NeighborReduceInit(c *Comm, m int, algo Algorithm) (*ReducePlan, error) {
 	if m < 0 {
 		return nil, fmt.Errorf("cart: negative block size %d", m)
@@ -79,10 +79,6 @@ func NeighborReduceInit(c *Comm, m int, algo Algorithm) (*ReducePlan, error) {
 	case Trivial:
 		return trivialReducePlan(c, m), nil
 	case Combining:
-		if !c.IsPeriodic() {
-			// The mesh-aware reversed-tree reduction (mesh_reduce.go).
-			return meshCombiningReducePlan(c, m), nil
-		}
 		return combiningReducePlan(c, m), nil
 	default:
 		return nil, fmt.Errorf("cart: unknown algorithm %v", algo)
@@ -131,11 +127,23 @@ const reduceTag = tagBase - 1
 // the nodes where the allgather data would have come to rest, and each
 // node's accumulator is sent toward the root one dimension at a time, in
 // reverse level order, combined at the receiver.
+//
+// On a grid with a boundary the tree is pruned by the adjoint of the
+// allgather's predicate over the same prefixes: accumulator s is live at
+// r iff its destination r + P(s) is on the grid and some member's source
+// is. A contribution whose destination is off the grid is dropped at the
+// source; a process with no sources leaves its result untouched, exactly
+// like the trivial algorithm. Rounds and volume count the interior bounds.
 func combiningReducePlan(c *Comm, m int) *ReducePlan {
 	tr := BuildAllgatherTree(c.nbh, nil)
 	d := c.nbh.Dims()
 	p := &ReducePlan{comm: c, algo: Combining, m: m}
 	rank := c.comm.Rank()
+	b := c.boundary()
+	var prefix map[*TreeNode]vec.Vec
+	if b.mesh() {
+		prefix = treePrefixes(tr)
+	}
 
 	// lastHopLevel as in the allgather schedule: member i rests in the
 	// subtree formed at its last non-zero level.
@@ -153,9 +161,9 @@ func combiningReducePlan(c *Comm, m int) *ReducePlan {
 	// record contribution inits: member i's contribution enters at the
 	// hopping node of its last non-zero level (the node where its
 	// allgather copy would come to rest), and at the root for the zero
-	// offset. Pass-through nodes never seed contributions of their own —
-	// their resting members were seeded at the hopping ancestor whose
-	// slot they share.
+	// offset, unless its destination is off the grid. Pass-through nodes
+	// never seed contributions of their own — their resting members were
+	// seeded at the hopping ancestor whose slot they share.
 	slotOf := map[*TreeNode]int{}
 	var assign func(n *TreeNode)
 	assign = func(n *TreeNode) {
@@ -164,9 +172,15 @@ func combiningReducePlan(c *Comm, m int) *ReducePlan {
 		if n.Coord != 0 || n.Level == -1 {
 			resting := 0
 			for _, mIdx := range n.Members {
-				if lastHop[mIdx] == n.Level {
-					resting++
+				if lastHop[mIdx] != n.Level {
+					continue
 				}
+				if b.mesh() {
+					if _, ok := c.grid.RankDisplace(rank, c.nbh[mIdx]); !ok {
+						continue
+					}
+				}
+				resting++
 			}
 			if resting > 0 {
 				p.inits = append(p.inits, accInit{slot: slotOf[n], times: resting})
@@ -201,50 +215,52 @@ func combiningReducePlan(c *Comm, m int) *ReducePlan {
 	}
 
 	for level := d - 1; level >= 0; level-- {
-		k := tr.DimOrder[level]
-		rounds := buildReduceRounds(c, rank, levels[level], slotOf, k, d)
-		p.phases = append(p.phases, rounds)
-		p.rounds += len(rounds)
-		for _, r := range rounds {
-			p.volume += len(r.sendSlots)
+		nodes := append([]*TreeNode(nil), levels[level]...)
+		sortNodesByCoord(nodes)
+		rel := make(vec.Vec, d)
+		var rounds []reduceRound
+		var cur reduceRound
+		for i, n := range nodes {
+			if i == 0 || n.Coord != nodes[i-1].Coord {
+				rel[tr.DimOrder[level]] = n.Coord
+				cur = reduceRound{sendTo: ProcNull, recvFrom: ProcNull}
+				if dst, ok := c.grid.RankDisplace(rank, rel); ok {
+					cur.sendTo = dst
+				}
+				if src, ok := c.grid.RankDisplaceNeg(rank, rel); ok {
+					cur.recvFrom = src
+				}
+				p.rounds++
+			}
+			// The node's accumulator travels toward the root: this rank
+			// sends it where it is live here and combines the incoming
+			// partial into the parent's accumulator where it is live at
+			// the sender.
+			if !b.mesh() || cur.sendTo != ProcNull && b.holds(rank, prefix[n], c.nbh, n.Members, true) {
+				cur.sendSlots = append(cur.sendSlots, slotOf[n])
+			}
+			if !b.mesh() || cur.recvFrom != ProcNull && b.holds(cur.recvFrom, prefix[n], c.nbh, n.Members, true) {
+				cur.recvSlots = append(cur.recvSlots, slotOf[n.Parent])
+			}
+			if i+1 < len(nodes) && nodes[i+1].Coord == n.Coord {
+				continue
+			}
+			// A side exists only if it carries a slot; a round with
+			// neither is dropped at this rank.
+			if len(cur.sendSlots) == 0 {
+				cur.sendTo = ProcNull
+			}
+			if len(cur.recvSlots) == 0 {
+				cur.recvFrom = ProcNull
+			}
+			if cur.sendTo != ProcNull || cur.recvFrom != ProcNull {
+				rounds = append(rounds, cur)
+			}
 		}
+		p.phases = append(p.phases, rounds)
+		p.volume += len(nodes)
 	}
 	return p
-}
-
-// buildReduceRounds groups the hopping nodes of one level by coordinate,
-// exactly like the allgather schedule but with reversed data flow: the
-// node's accumulator is sent along +c·e_k and the incoming partial is
-// combined into the parent's accumulator.
-func buildReduceRounds(c *Comm, rank int, nodes []*TreeNode, slotOf map[*TreeNode]int, k, d int) []reduceRound {
-	if len(nodes) == 0 {
-		return nil
-	}
-	sorted := append([]*TreeNode(nil), nodes...)
-	sortNodesByCoord(sorted)
-	parentSlot := func(n *TreeNode) int { return slotOf[n.Parent] }
-	var rounds []reduceRound
-	var cur *reduceRound
-	curCoord := 0
-	for _, n := range sorted {
-		if cur == nil || n.Coord != curCoord {
-			rel := make(vec.Vec, d)
-			rel[k] = n.Coord
-			r := reduceRound{sendTo: ProcNull, recvFrom: ProcNull}
-			if dst, ok := c.grid.RankDisplace(rank, rel); ok {
-				r.sendTo = dst
-			}
-			if src, ok := c.grid.RankDisplaceNeg(rank, rel); ok {
-				r.recvFrom = src
-			}
-			rounds = append(rounds, r)
-			cur = &rounds[len(rounds)-1]
-			curCoord = n.Coord
-		}
-		cur.sendSlots = append(cur.sendSlots, slotOf[n])
-		cur.recvSlots = append(cur.recvSlots, parentSlot(n))
-	}
-	return rounds
 }
 
 // RunReduce executes the plan: send holds the process's contribution (m

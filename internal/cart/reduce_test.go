@@ -240,7 +240,7 @@ func TestNeighborReduceOnMesh(t *testing.T) {
 }
 
 func TestNeighborReduceCombiningOnMesh(t *testing.T) {
-	// The mesh-aware reversed-tree reduction (mesh_reduce.go): boundary
+	// The reversed-tree reduction pruned at the boundary: boundary
 	// processes combine only existing sources; contributions without a
 	// destination are dropped at the source.
 	contrib := func(rank, e int) int { return rank*1000 + e + 1 }

@@ -175,26 +175,24 @@ func checkLegInternals(sc *Scenario, leg string, algo cart.Algorithm, out *legOu
 			return fail("accounting", "%s: rank %d: %d executions recorded, ran 2", leg, r, st.Executions)
 		}
 	}
-	// On a torus every rank is interior, so the plan must carry exactly
-	// the paper's C and V (Proposition 3.2) and the observation must tie
-	// back to them. The copy-skew mutation moves data to the wrong slot
-	// without changing any count, so these hold even when mutated — the
-	// payload differential is what catches it.
-	if sc.Torus() {
-		op := cart.OpAlltoall
-		if sc.Op == "allgather" {
-			op = cart.OpAllgather
+	// Every plan, on a mesh too, carries exactly the paper's interior C
+	// and V (Proposition 3.2); on a torus every rank is interior, so the
+	// observation must tie back to them. The copy-skew mutation moves data
+	// to the wrong slot without changing any count, so these hold even
+	// when mutated — the payload differential is what catches it.
+	op := cart.OpAlltoall
+	if sc.Op == "allgather" {
+		op = cart.OpAllgather
+	}
+	wantC, wantV := cart.Predicted(sc.nbh(), op, algo)
+	for r, st := range out.stats {
+		if sc.Torus() && !st.Interior() {
+			return fail("predicted-accounting", "%s: rank %d not interior on a torus: planned %d rounds / %d blocks, predicted %d / %d",
+				leg, r, st.PlannedRounds, st.PlannedBlocks, st.PredictedRounds, st.PredictedVolume)
 		}
-		wantC, wantV := cart.Predicted(sc.nbh(), op, algo)
-		for r, st := range out.stats {
-			if !st.Interior() {
-				return fail("predicted-accounting", "%s: rank %d not interior on a torus: planned %d rounds / %d blocks, predicted %d / %d",
-					leg, r, st.PlannedRounds, st.PlannedBlocks, st.PredictedRounds, st.PredictedVolume)
-			}
-			if st.PredictedRounds != wantC || st.PredictedVolume != wantV {
-				return fail("predicted-accounting", "%s: rank %d predicts C=%d V=%d, analysis says C=%d V=%d",
-					leg, r, st.PredictedRounds, st.PredictedVolume, wantC, wantV)
-			}
+		if st.PredictedRounds != wantC || st.PredictedVolume != wantV {
+			return fail("predicted-accounting", "%s: rank %d predicts C=%d V=%d, analysis says C=%d V=%d",
+				leg, r, st.PredictedRounds, st.PredictedVolume, wantC, wantV)
 		}
 	}
 	if err := mpi.CheckMetricInvariants(out.met); err != nil {
