@@ -12,11 +12,12 @@ import (
 // The hot path is inline: Start posts the execution's first receive window
 // and its barrier-free sends on the caller's goroutine — the messages are
 // on the wire before Start returns, with no scheduler handoff on the
-// critical path — and attaches the receives to a thread-safe completion
-// sink (mpi.CompletionSink). Progress from there on is driven by whoever
-// holds the worker's drive lock:
+// critical path — and attaches the receives to the worker's completion set
+// (mpi.WaitSet, the same type Run's arrival-order executor waits on, here
+// shared between the committing goroutine and the driver). Progress from
+// there on is driven by whoever holds the worker's drive lock:
 //
-//   - a resident worker goroutine parks on the sink and drives completion
+//   - a resident worker goroutine parks on the set and drives completion
 //     batches while the caller computes (the overlap Start exists for);
 //   - Future.Wait helps: a waiter that can take the drive lock drives
 //     batches itself, so a commit-then-wait cycle completes without ever
@@ -35,7 +36,7 @@ import (
 // Fairness: a drive batch processes completion events in arrival order and
 // refills each touched execution's window once per batch, so a large
 // collective cannot monopolize a batch; executions of one plan are pinned
-// to one worker (plan scratch stays on one drive lock), different plans
+// to one worker (plan records stay on one drive lock), different plans
 // spread round-robin across the pool.
 //
 // Failure: an abort fails every in-flight future of the worker with the
@@ -147,7 +148,7 @@ func newEngine(c *Comm) *engine {
 	for i := range e.workers {
 		e.workers[i] = &engineWorker{
 			eng:      e,
-			sink:     mpi.NewCompletionSink(c.comm, 8),
+			ws:       mpi.NewWaitSet(c.comm, 8),
 			nextSlot: 1,
 		}
 	}
@@ -164,7 +165,7 @@ func (c *Comm) engine() *engine {
 }
 
 // workerFor pins a plan to a worker: all executions of one plan share its
-// scratch pool, so they stay under one drive lock; distinct plans
+// record pool, so they stay under one drive lock; distinct plans
 // round-robin across the pool. The pinning lives on the plan itself
 // (commit-side, single-goroutine like nextWkr), so the steady-state Start
 // path costs a field read where it used to cost a map lookup — the last
@@ -186,12 +187,12 @@ func (e *engine) workerFor(p *Plan) *engineWorker {
 // exits when its last execution retires with nothing queued, so an idle
 // world carries no goroutine.
 type engineWorker struct {
-	eng  *engine
-	sink *mpi.CompletionSink
+	eng *engine
+	ws  *mpi.WaitSet
 
 	// waiters counts Future.Wait calls currently helping on this worker.
-	// While any are present the waiters own the sink: the resident stays
-	// off it (a linger-granularity doze instead of a sink park), so
+	// While any are present the waiters own the set: the resident stays
+	// off it (a linger-granularity doze instead of a set park), so
 	// completion wakes reach the goroutine that will consume the result —
 	// no final-handoff context switch, and no per-operation resident
 	// scheduling, on the Wait path.
@@ -332,7 +333,7 @@ func (w *engineWorker) settleSlot(slot int) {
 	w.committedTo = slot
 	w.ctA.Store(int64(slot))
 	w.mu.Unlock()
-	w.sink.Post(wakeToken)
+	w.ws.Post(wakeToken)
 }
 
 // wake nudges the resident (a sibling's crash). A stale token to an exited
@@ -342,11 +343,11 @@ func (w *engineWorker) wake() {
 	running := w.running
 	w.mu.Unlock()
 	if running {
-		w.sink.Post(wakeToken)
+		w.ws.Post(wakeToken)
 	}
 }
 
-// loop is the resident driver: drive a batch, park on the sink, repeat;
+// loop is the resident driver: drive a batch, park on the set, repeat;
 // exit when idle. An injected rank crash unwinds whatever posting path
 // triggered it as a panic (the simulated process death); when that path is
 // the resident's, the recovery converts it into typed failures of the
@@ -364,24 +365,24 @@ func (w *engineWorker) loop() {
 			w.eng.wakeOthers(w)
 		}
 	}()
-	stole := false // last sink park may have consumed a wake level
+	stole := false // last set park may have consumed a wake level
 	for {
 		if err := w.eng.crashErr(); err != nil {
 			w.crashExit(err)
 			return
 		}
 		if w.waiters.Load() > 0 {
-			// A waiter is driving; it owns the sink, liveness and failure
-			// delivery. If this goroutine's last sink park consumed a
+			// A waiter is driving; it owns the set, liveness and failure
+			// delivery. If this goroutine's last set park consumed a
 			// completion wake the waiter needs (both were parked when the
 			// waiter arrived), hand the level back — exactly once, not per
 			// doze tick: a perpetual handback would re-wake the waiter's
 			// park every tick and mask its watchdog timeout, disabling
 			// deadlock detection. No handback signal exists in the other
 			// direction, so leaving waiters cost nothing; the resident
-			// re-takes the sink within one doze tick of the last exit.
+			// re-takes the set within one doze tick of the last exit.
 			if stole {
-				w.sink.Wake()
+				w.ws.Wake()
 				stole = false
 			}
 			time.Sleep(asyncIdleLinger)
@@ -390,7 +391,7 @@ func (w *engineWorker) loop() {
 		arm, prog := w.residentBatch()
 		if !arm {
 			// Idle: linger briefly for the next commit, then exit.
-			timedOut, err := w.sink.ParkFor(asyncIdleLinger)
+			timedOut, err := w.ws.ParkFor(asyncIdleLinger)
 			if err != nil {
 				w.abortAll(err)
 				if w.tryExit() {
@@ -404,7 +405,7 @@ func (w *engineWorker) loop() {
 			}
 			continue
 		}
-		timedOut, err := w.sink.Park(true)
+		timedOut, err := w.ws.Park()
 		if err != nil {
 			w.abortAll(err)
 			if w.tryExit() {
@@ -450,7 +451,7 @@ func (w *engineWorker) watchdog(parkedAt uint64) {
 	if w.progress != parkedAt || len(w.slots)+len(w.orphans) == 0 {
 		return
 	}
-	err := w.sink.Deadlock(len(w.slots))
+	err := w.ws.Deadlock(len(w.slots))
 	w.failAll(err)
 }
 
@@ -495,7 +496,7 @@ func (w *engineWorker) helpDrive() (prog uint64) {
 }
 
 // drive runs one progress batch under driveMu: admit registrations,
-// deliver stashed orphans plus everything queued on the sink, then advance
+// deliver stashed orphans plus everything queued on the set, then advance
 // each touched execution once — window refill and newly-ready sends — so
 // progress per batch is bounded per execution and arrival order decides
 // service order.
@@ -509,7 +510,7 @@ func (w *engineWorker) drive() {
 			w.deliver(tok, ct)
 		}
 	}
-	// Drain-deliver-advance until the sink is momentarily dry: tokens
+	// Drain-deliver-advance until the set is momentarily dry: tokens
 	// posted while a batch advances (peers matching this execution's
 	// receives during its own copies) are served in the same batch, like
 	// a Waitsome loop that re-drains before it ever parks. Each pass
@@ -517,7 +518,7 @@ func (w *engineWorker) drive() {
 	// preserved, and every pass consumes tokens the previous one could
 	// not have seen, so the loop terminates with the in-flight work.
 	for {
-		w.inbox = w.sink.TryDrain(w.inbox[:0])
+		w.inbox = w.ws.TryDrain(w.inbox[:0])
 		if len(w.inbox) == 0 && len(w.touched) == 0 {
 			return
 		}

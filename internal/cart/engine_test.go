@@ -78,9 +78,9 @@ func TestFuturesManyInFlightInterleave(t *testing.T) {
 				}
 			}
 		}
-		plan.asyncMu.Lock()
-		pool := len(plan.asyncFree)
-		plan.asyncMu.Unlock()
+		plan.recMu.Lock()
+		pool := len(plan.recFree)
+		plan.recMu.Unlock()
 		if pool > K {
 			return fmt.Errorf("rank %d: scratch pool grew to %d for %d in-flight futures", w.Rank(), pool, K)
 		}

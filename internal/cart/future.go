@@ -11,6 +11,12 @@ import (
 	"cartcc/internal/trace"
 )
 
+// The nonblocking entry point. Start acquires a pooled execution record
+// (pipeline.go) — the one Run executes on — begins its typed shell, an
+// asyncExec, inline on the caller and commits it to the progress engine
+// (engine.go), which drives it to settlement; the Future carries the
+// result.
+
 // waitSpinBudget bounds how many voluntary yields a waiter tries between
 // progress and a real park. Yields are cheap (no timer, no channel, no
 // wake handshake) and each one runs every other runnable goroutine once,
@@ -43,7 +49,7 @@ type Future struct {
 // wake lands on the goroutine that will consume the result — a
 // commit-then-wait cycle finishes without a single scheduler handoff,
 // which is what keeps async latency at the synchronous executor's. The
-// resident re-takes the sink within a linger tick of the last waiter
+// resident re-takes the set within a linger tick of the last waiter
 // leaving.
 func (f *Future) Wait() error {
 	w := f.w
@@ -51,16 +57,16 @@ func (f *Future) Wait() error {
 		return f.err
 	}
 	// Registering as a waiter sidelines the resident without waking it: a
-	// dozing resident stays unscheduled, and a sink-parked one that steals
+	// dozing resident stays unscheduled, and a set-parked one that steals
 	// this waiter's first completion wake observes waiters > 0, hands the
-	// wake level back, and dozes off the sink from then on.
+	// wake level back, and dozes off the set from then on.
 	w.waiters.Add(1)
 	defer w.waiters.Add(-1)
 	// The watchdog timer spans the whole Wait: parks reuse it instead of
 	// starting and stopping one each, and a fire only trips the deadlock
 	// check — progress since the last check re-arms it.
-	wdt, timeoutCh := w.sink.AcquireParkTimer()
-	defer w.sink.ReleaseParkTimer(wdt)
+	wdt, timeoutCh := w.ws.AcquireParkTimer()
+	defer w.ws.ReleaseParkTimer(wdt)
 	var lastProg uint64
 	spins := 0
 	for {
@@ -71,7 +77,7 @@ func (f *Future) Wait() error {
 			// The engine died to an injected crash: its exit path fails
 			// every future. Hand the wake back for other waiters and park
 			// on completion alone.
-			w.sink.Wake()
+			w.ws.Wake()
 			<-f.doneChan()
 			return f.err
 		}
@@ -79,7 +85,7 @@ func (f *Future) Wait() error {
 			// Another waiter (or a mid-handoff resident) is driving. Hand
 			// back any wake this waiter consumed — the queue may hold
 			// tokens the current driver's drain missed — yield, re-check.
-			w.sink.Wake()
+			w.ws.Wake()
 			runtime.Gosched()
 			continue
 		}
@@ -100,7 +106,7 @@ func (f *Future) Wait() error {
 			lastProg = prog
 			spins = 0
 		}
-		for spins < waitSpinBudget && w.sink.Pending() == 0 {
+		for spins < waitSpinBudget && w.ws.Pending() == 0 {
 			if f.settled() {
 				return f.err
 			}
@@ -111,7 +117,7 @@ func (f *Future) Wait() error {
 			continue // tokens queued: drive them
 		}
 		spins = 0
-		woke, timedOut, err := w.sink.ParkOr(f.doneChan(), timeoutCh)
+		woke, timedOut, err := w.ws.ParkOr(f.doneChan(), timeoutCh)
 		switch {
 		case err != nil:
 			// Abort: deliver the failure to every in-flight future (the
@@ -119,7 +125,7 @@ func (f *Future) Wait() error {
 			w.abortAll(err)
 		case timedOut:
 			w.watchdog(prog)
-			w.sink.RearmParkTimer(wdt)
+			w.ws.RearmParkTimer(wdt)
 		case !woke:
 			return f.err
 		}
@@ -167,39 +173,6 @@ var closedChan = func() chan struct{} {
 	return ch
 }()
 
-// asyncScratch is one execution's pooled scratch: a detached pipeState
-// (completions route through the worker's sink per execution), the cached
-// temporary buffer, and the execution shell itself. Pooled per plan so
-// steady-state Start/Wait cycles stay allocation-free even with several
-// executions in flight.
-type asyncScratch struct {
-	st   *pipeState
-	temp any
-	exec any // cached *asyncExec[T] of the last element type
-	ops  any // the execution's round slots, a *roundOps[T] (schedule.go)
-}
-
-// acquireAsyncScratch pops a pooled scratch or allocates one. The pool
-// mutex also serializes first-use computation of the plan's tag span
-// (callers may commit from the engine-owning goroutine only, but release
-// happens on workers).
-func (p *Plan) acquireAsyncScratch() *asyncScratch {
-	p.asyncMu.Lock()
-	defer p.asyncMu.Unlock()
-	if n := len(p.asyncFree); n > 0 {
-		s := p.asyncFree[n-1]
-		p.asyncFree = p.asyncFree[:n-1]
-		return s
-	}
-	return &asyncScratch{st: newPipeState(p, false)}
-}
-
-func (p *Plan) releaseAsyncScratch(s *asyncScratch) {
-	p.asyncMu.Lock()
-	p.asyncFree = append(p.asyncFree, s)
-	p.asyncMu.Unlock()
-}
-
 // asyncTagFits reports whether every round tag of the plan lands inside
 // one engine tag block (memoized). Plans violating it would alias another
 // future's tags; no real schedule comes close (the span holds 4M rounds).
@@ -207,17 +180,11 @@ func (p *Plan) asyncTagFits() bool {
 	if v := p.tagFit.Load(); v != 0 {
 		return v == 1
 	}
-	p.asyncMu.Lock()
-	defer p.asyncMu.Unlock()
-	if p.asyncMaxTag == 0 {
-		p.asyncMaxTag = tagBase // empty plans trivially fit
-		for _, r := range p.flat {
-			if r.tag > p.asyncMaxTag {
-				p.asyncMaxTag = r.tag
-			}
-		}
+	maxTag := tagBase // empty plans trivially fit
+	for _, r := range p.flat {
+		maxTag = max(maxTag, r.tag)
 	}
-	fits := p.asyncMaxTag-tagBase < asyncTagSpan
+	fits := maxTag-tagBase < asyncTagSpan
 	if fits {
 		p.tagFit.Store(1)
 	} else {
@@ -226,15 +193,14 @@ func (p *Plan) asyncTagFits() bool {
 	return fits
 }
 
-// asyncExec is one committed execution: the executor core's step machine
-// (pipeline.go), begun inline on the committing caller and driven
-// from there on by engine completion events instead of a blocking
-// Waitsome loop.
+// asyncExec is an execution record's typed shell: the executor core's
+// step machine (pipeline.go) plus what a committed execution needs — its
+// future, worker slot and leaf coalescing. Start begins it inline on the
+// committing caller, and engine completion events drive it from there on;
+// Run drives only the embedded pipeExec and leaves the rest idle.
 type asyncExec[T any] struct {
 	pipeExec[T]
 	f    *Future
-	scr  *asyncScratch
-	recv []T
 	slot int
 	// Leaf coalescing (the async mirror of the synchronous bulk tail):
 	// gate counts unaccounted leaf completions plus a bias held while
@@ -255,7 +221,7 @@ const leafToken = ownerMask
 func (e *asyncExec[T]) slotID() int { return e.slot }
 
 // begin posts the execution's first receive window (attached to the
-// worker's completion sink) and its barrier-free sends. Runs on the
+// worker's completion set) and its barrier-free sends. Runs on the
 // committing caller's goroutine, before the execution is registered with
 // a driver, so it owns the state exclusively; register's lock handoff
 // publishes it.
@@ -278,7 +244,7 @@ func (e *asyncExec[T]) begin() error {
 // maybeDropBias releases the attach-time gate bias once every round has
 // been posted. When the drop closes the group (all leaves already
 // completed), the driver holds the execution right here — set the flag
-// directly instead of routing a token through the sink, which would cost
+// directly instead of routing a token through the set, which would cost
 // the completion path one more wakeup.
 func (e *asyncExec[T]) maybeDropBias() {
 	if e.biasDropped || e.nextPost < len(e.p.flat) {
@@ -316,7 +282,7 @@ func (e *asyncExec[T]) finish() {
 		return
 	}
 	for _, cp := range e.p.copies {
-		datatype.Copy(e.recv, cp.to, e.bufs[cp.fromBuf], cp.from)
+		datatype.Copy(e.bufs[1], cp.to, e.bufs[cp.fromBuf], cp.from)
 	}
 	e.p.countRun()
 	e.settle(nil)
@@ -331,16 +297,15 @@ func (e *asyncExec[T]) fail(err error, fromWaitSet bool) {
 	e.settle(e.abortDrain(err))
 }
 
-// settle returns the scratch (execution shell included) to the plan's
+// settle returns the execution record (shell included) to the plan's
 // pool, records the retirement, and completes the future. Locals are
-// captured before the release: once the scratch is back in the pool a
+// captured before the release: once the record is back in the pool a
 // concurrent Start may reacquire and rewrite this very shell.
 func (e *asyncExec[T]) settle(err error) {
 	f, p := e.f, e.p
 	e.f = nil
-	e.recv = nil
-	e.bufs[0], e.bufs[1], e.bufs[2] = nil, nil, nil
-	p.releaseAsyncScratch(e.scr)
+	e.bufs[0], e.bufs[1] = nil, nil
+	p.releaseRecord(e.st)
 	p.countAsyncRetire(f)
 	f.complete(err)
 }
@@ -361,9 +326,9 @@ func (p *Plan) countAsyncRetire(f *Future) {
 // Start commits a nonblocking execution of the plan to the communicator's
 // progress engine and returns its future. The caller must not touch send
 // or recv until Wait returns. Concurrent executions of one plan are
-// allowed (each runs on pooled scratch under a private tag block), but a
-// plan with futures in flight must not be Run synchronously, and all
-// ranks must start collectives on one communicator in the same order —
+// allowed (each runs on a pooled execution record under a private tag
+// block), but a plan with futures in flight must not be Run synchronously,
+// and all ranks must start collectives on one communicator in the same order —
 // the commit sequence is what keeps their tag blocks aligned (the
 // ordering MPI requires of nonblocking collectives).
 //
@@ -394,33 +359,15 @@ func Start[T any](p *Plan, send, recv []T) (*Future, error) {
 	w := eng.workerFor(p)
 	seq := int(eng.nextSeq.Add(1) - 1)
 
-	scr := p.acquireAsyncScratch()
-	ops, err := roundOpsFor[T](p, &scr.ops)
+	rec := p.acquireRecord()
+	ex, err := shellFor[T](p, rec)
 	if err != nil {
-		p.releaseAsyncScratch(scr)
+		p.releaseRecord(rec)
 		return nil, err
 	}
-	var temp []T
-	if p.tempLen > 0 {
-		if cached, ok := scr.temp.([]T); ok && len(cached) >= p.tempLen {
-			temp = cached
-		} else {
-			temp = make([]T, p.tempLen)
-			scr.temp = temp
-		}
-	}
 	f := &Future{p: p, w: w, seq: seq, commitNs: time.Now().UnixNano()}
-	ex, _ := scr.exec.(*asyncExec[T])
-	if ex == nil {
-		ex = &asyncExec[T]{}
-		ex.bufs = make([][]T, 3)
-		scr.exec = ex
-	}
-	ex.f, ex.scr, ex.recv = f, scr, recv
-	ex.p, ex.st, ex.ops = p, scr.st, ops
-	ex.bufs[0], ex.bufs[1], ex.bufs[2] = send, recv, temp
-	ex.ws = nil
-	ex.sink = w.sink
+	ex.f = f
+	ex.rearm(send, recv, w.ws)
 	ex.timed = p.cmet != nil
 	ex.tagOff = asyncTagBase + seq*asyncTagSpan - tagBase
 	slot := w.commitSlot()

@@ -2,7 +2,7 @@ package cart
 
 // The cart half of the live-introspection surface: a read-only snapshot of
 // a communicator's progress engine (slot tables, registration queues,
-// completion-sink depths, in-flight futures) plus the process-wide
+// completion-set depths, in-flight futures) plus the process-wide
 // plan-cache counters, served by internal/introspect as part of
 // /debug/state. Snapshots take the same locks the engine itself uses, in
 // the engine's own driveMu→mu order, and hold each for a table copy — safe
@@ -21,7 +21,7 @@ type WorkerDebug struct {
 	// admission by the next drive batch.
 	Orphans        int `json:"orphans"`
 	PendingCommits int `json:"pending_commits"`
-	// SinkPending is the completion sink's queued-token count — arrivals
+	// SinkPending is the completion set's queued-token count — arrivals
 	// no driver has drained yet.
 	SinkPending int `json:"sink_pending"`
 	// Resident reports whether a resident driver goroutine is live;
@@ -60,7 +60,7 @@ func (c *Comm) EngineDebug() EngineDebug {
 		d.Crashed = err.Error()
 	}
 	for i, w := range e.workers {
-		wd := WorkerDebug{Worker: i, Waiters: int(w.waiters.Load()), SinkPending: w.sink.Pending()}
+		wd := WorkerDebug{Worker: i, Waiters: int(w.waiters.Load()), SinkPending: w.ws.Pending()}
 		w.driveMu.Lock()
 		wd.Slots = len(w.slots)
 		for _, s := range w.slots {

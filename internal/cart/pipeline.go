@@ -13,9 +13,11 @@ import (
 // of dag.go runs every schedule (DESIGN.md §9). A round's send posts the
 // moment its RAW producers have retired; receives post in flat
 // (phase-major) order; each retirement decrements its dependents'
-// in-degrees, posting newly-ready sends and releasing gated scatters. Run
-// drives begin, onArrived, advance and leafTail from one loop (execute),
-// the progress engine from completion tokens (engine.go).
+// in-degrees, posting newly-ready sends and releasing gated scatters. Both
+// entry points execute on one pooled execution record (execRecord): Run
+// acquires one and drives begin, onArrived, advance and leafTail inline
+// from one loop (execute); Start commits one to the progress engine, which
+// drives the same methods from completion tokens (engine.go).
 //
 // The policy is data, not a separate loop. The fence (Plan.fence) gates
 // posting: a unit — one phase under fencePhase, one round under
@@ -28,8 +30,8 @@ import (
 // front. A wall-clock pipelined run posts receives up to a bounded window
 // (early messages detach to the wire pool and match later: the window
 // bounds memory, not correctness), consumes completions in arrival order
-// from a WaitSet, and leaves leaf rounds — no RAW or WAW successors — to a
-// bulk tail.
+// from the record's mpi.WaitSet, and leaves leaf rounds — no RAW or WAW
+// successors — to a bulk tail.
 //
 // Progress: the earliest unretired receive is always posted, and its
 // scatter gates unwind inductively to phase-0 sends, so a stall is a wait
@@ -50,10 +52,12 @@ const (
 	fenceRound              // round by round: WithBlockingRounds, Trivial
 )
 
-// pipeState is the executor's plan-owned scratch: allocated once on first
-// use, reset in place on every execution, so repeated runs of one plan stay
-// allocation-free (alloc_regression_test.go).
-type pipeState struct {
+// execRecord is one execution's pooled state, shared by Run and Start: the
+// DAG counters the step machine runs on, Run's completion set, and the
+// typed execution shell. Records are pooled per plan (acquireRecord), so
+// repeated executions stay allocation-free (alloc_regression_test.go) and
+// several futures of one plan can be in flight at once.
+type execRecord struct {
 	sendLeft   []int32
 	scatLeft   []int32
 	deferred   []bool
@@ -68,19 +72,23 @@ type pipeState struct {
 	// postNs stamps each round's receive-post wall time when a metrics
 	// registry is attached, feeding the cart.retire.ns latency histogram.
 	postNs []int64
-	ws     *mpi.WaitSet
 	nRecvs int
 	nSends int
-	nLive  int // receives with successors: the WaitSet-driven set
+	nLive  int // receives with successors: the completion-set-driven set
+	// ws is the record's own completion set, made by the first
+	// arrival-order Run; executions through Start complete into their
+	// worker's set instead (engine.go).
+	ws *mpi.WaitSet
+	// exec is the typed execution shell of the last element type, an
+	// *asyncExec[T] (future.go) holding the round slots, the temporary
+	// buffer and the buffer triple; Run drives its embedded pipeExec.
+	exec any
 }
 
-// newPipeState allocates one execution's worth of scratch for the plan.
-// withWS attaches a plan-owned WaitSet for Run; the progress engine's
-// executions pass false and attach their worker's multiplexed set per
-// execution instead (engine.go).
-func newPipeState(p *Plan, withWS bool) *pipeState {
+// newExecRecord allocates one execution's worth of state for the plan.
+func newExecRecord(p *Plan) *execRecord {
 	n := len(p.flat)
-	st := &pipeState{
+	st := &execRecord{
 		sendLeft:   make([]int32, n),
 		scatLeft:   make([]int32, n),
 		deferred:   make([]bool, n),
@@ -104,23 +112,49 @@ func newPipeState(p *Plan, withWS bool) *pipeState {
 			st.nSends++
 		}
 	}
-	if withWS {
-		st.ws = mpi.NewWaitSet(p.comm.comm, st.nLive)
-	}
 	return st
 }
 
-// pipeScratch returns the plan's executor scratch, allocating it on first
-// use.
-func (p *Plan) pipeScratch() *pipeState {
-	if p.pipe == nil {
-		p.pipe = newPipeState(p, true)
+// acquireRecord pops a pooled execution record or allocates one.
+func (p *Plan) acquireRecord() *execRecord {
+	p.recMu.Lock()
+	defer p.recMu.Unlock()
+	if n := len(p.recFree); n > 0 {
+		rec := p.recFree[n-1]
+		p.recFree = p.recFree[:n-1]
+		return rec
 	}
-	return p.pipe
+	return newExecRecord(p)
 }
 
-// reset rearms the scratch for one execution of p.
-func (st *pipeState) reset(p *Plan) {
+func (p *Plan) releaseRecord(rec *execRecord) {
+	p.recMu.Lock()
+	p.recFree = append(p.recFree, rec)
+	p.recMu.Unlock()
+}
+
+// shellFor returns the record's typed execution shell, building it — round
+// slots bound, temporary buffer sized — on first use, or again when the
+// plan executes with another element type.
+func shellFor[T any](p *Plan, rec *execRecord) (*asyncExec[T], error) {
+	if ex, ok := rec.exec.(*asyncExec[T]); ok {
+		return ex, nil
+	}
+	ops, err := bindRoundOps[T](p)
+	if err != nil {
+		return nil, err
+	}
+	ex := &asyncExec[T]{}
+	ex.p, ex.st, ex.ops = p, rec, ops
+	if p.tempLen > 0 {
+		ex.bufs[2] = make([]T, p.tempLen)
+	}
+	rec.exec = ex
+	return ex, nil
+}
+
+// reset rearms the record for one execution of p.
+func (st *execRecord) reset(p *Plan) {
 	st.stack = st.stack[:0]
 	for i := 0; i < len(p.flat); i++ {
 		st.sendLeft[i] = p.deps[i].sendDeps
@@ -133,22 +167,23 @@ func (st *pipeState) reset(p *Plan) {
 	}
 }
 
-// pipeExec is one execution's live state over a pipeState. Run drives it
-// to completion on the caller's goroutine over the plan-owned scratch; the
-// progress engine (engine.go) embeds it in an asyncExec and drives the
-// same state machine from completion events, with a per-execution tag
-// offset (concurrent futures of one communicator must not match each
-// other's messages), the worker's shared WaitSet, and an owner base that
+// pipeExec is one execution's live state over an execRecord. Run drives
+// it to completion on the caller's goroutine (execute); the progress
+// engine (engine.go) embeds it in an asyncExec and drives the same state
+// machine from completion events, with a per-execution tag offset
+// (concurrent futures of one communicator must not match each other's
+// messages), the worker's shared completion set, and an owner base that
 // routes completions back to this execution.
 type pipeExec[T any] struct {
-	p         *Plan
-	st        *pipeState
-	ops       *roundOps[T] // the rounds' persistent receives and sends
-	bufs      [][]T
-	ws        *mpi.WaitSet        // completion set receives attach to (synchronous runs)
-	sink      *mpi.CompletionSink // engine completion sink (async runs; takes precedence)
-	tagOff    int                 // added to every round tag (0 for synchronous runs)
-	ownerBase int                 // completion token base (0 for synchronous runs)
+	p    *Plan
+	st   *execRecord
+	ops  *roundOps[T] // the rounds' persistent receives and sends
+	bufs [3][]T       // send, recv, temp; temp stays with the shell
+	// ws is the completion set live receives attach to: the record's own
+	// for Run, the worker's for Start.
+	ws        *mpi.WaitSet
+	tagOff    int // added to every round tag (0 for synchronous runs)
+	ownerBase int // completion token base (0 for synchronous runs)
 	// leafGate, when non-nil (engine executions with leaf rounds),
 	// coalesces every leaf receive's completion into one sentinel token —
 	// no per-message wakeup, like the synchronous bulk tail — posted once
@@ -176,18 +211,17 @@ type pipeExec[T any] struct {
 	remSend  int
 }
 
-// execute runs the plan's rounds over bufs, the (send, recv, temp) buffer
-// array, under the plan's fence — the one synchronous driver of the step
-// machine. The local copies are the caller's job (they run after every
-// round has retired).
-func execute[T any](p *Plan, ops *roundOps[T], bufs [][]T) error {
-	st := p.pipeScratch()
-	e := &pipeExec[T]{p: p, st: st, ops: ops, bufs: bufs, ws: st.ws, rlog: p.rlog,
-		fence: p.fence, inOrder: p.fence != fenceNone || p.comm.comm.Model() != nil,
-		timed: p.cmet != nil && p.fence == fenceNone}
-	if !e.inOrder {
-		st.ws.Reset()
-	}
+// rearm binds the shell to one execution over send and recv, completing
+// into ws. Every other per-execution field restarts at its zero value —
+// unfenced, untimed, untagged — for the driver to set.
+func (e *pipeExec[T]) rearm(send, recv []T, ws *mpi.WaitSet) {
+	*e = pipeExec[T]{p: e.p, st: e.st, ops: e.ops, bufs: [3][]T{send, recv, e.bufs[2]}, ws: ws}
+}
+
+// execute runs the plan's rounds under the plan's fence — the one
+// synchronous driver of the step machine. The local copies are the
+// caller's job (they run after every round has retired).
+func (e *pipeExec[T]) execute() error {
 	if err := e.begin(); err != nil {
 		return e.abortDrain(err)
 	}
@@ -239,7 +273,7 @@ func (e *pipeExec[T]) next() error {
 	}
 }
 
-// begin rearms the scratch and posts what the policy allows before any
+// begin rearms the record and posts what the policy allows before any
 // message has arrived: the first fence unit's receives and its ready
 // sends — for the pipelined policy, the first receive window and every
 // barrier-free send.
@@ -309,7 +343,8 @@ func (e *pipeExec[T]) openUnit() {
 // fillWindow posts the open units' receives in flat order: all of them in
 // flat-order mode, otherwise until the window holds p.window live
 // receives. Leaf receives do not count against the window and are not
-// added to the WaitSet: a posted receive pins no payload memory (an early
+// added to the completion set one by one (the engine gates them into one
+// token): a posted receive pins no payload memory (an early
 // message detaches to the pooled wire either way), so posting them
 // eagerly only widens the match-time-consume fast path, while the window
 // bounds the completion-tracked frontier the executor must react to. The
@@ -328,7 +363,7 @@ func (e *pipeExec[T]) fillWindow() {
 			continue
 		}
 		st.deferred[i] = st.scatLeft[i] > 0
-		req := e.ops.recv[i].Start(e.bufs, e.tagOff, st.deferred[i])
+		req := e.ops.recv[i].Start(e.bufs[:], e.tagOff, st.deferred[i])
 		st.recvPosted[i] = true
 		e.nextPost++
 		logRound(e.rlog, p.deps[i].phase, p.deps[i].idx, r.recvFrom, trace.RoundRecvPost)
@@ -344,13 +379,9 @@ func (e *pipeExec[T]) fillWindow() {
 			if m := p.cmet; m != nil {
 				m.prepostHWM.SetMax(int64(e.posted))
 			}
-			if e.sink != nil {
-				e.sink.Add(req, e.ownerBase+i)
-			} else {
-				e.ws.Add(req, e.ownerBase+i)
-			}
+			e.ws.Add(req, e.ownerBase+i)
 		case e.leafGate != nil:
-			e.sink.AddGated(req, e.ownerBase|ownerMask, e.leafGate)
+			e.ws.AddGated(req, e.ownerBase|ownerMask, e.leafGate)
 		}
 	}
 }
@@ -389,7 +420,7 @@ func (e *pipeExec[T]) drainSends() error {
 func (e *pipeExec[T]) postSend(i int32) error {
 	p, st := e.p, e.st
 	r := p.flat[i]
-	if err := e.ops.send[i].Start(e.bufs, e.tagOff); err != nil {
+	if err := e.ops.send[i].Start(e.bufs[:], e.tagOff); err != nil {
 		return p.phaseError(p.deps[i].phase, p.deps[i].idx, "send to", r.sendTo, err)
 	}
 	st.sendPosted[i] = true
@@ -485,7 +516,7 @@ func (e *pipeExec[T]) leafTail() error {
 		if _, err := e.ops.req(i).Wait(); err != nil {
 			return p.phaseError(p.deps[i].phase, p.deps[i].idx, "recv from", p.flat[i].recvFrom, err)
 		}
-		e.recordRetire(i, e.timed && e.sink == nil)
+		e.recordRetire(i, e.timed && e.leafGate == nil)
 	}
 	if e.remRecv > 0 {
 		return fmt.Errorf("cart: internal: executor finished with %d receive(s) unposted", e.remRecv)

@@ -27,7 +27,7 @@ import (
 // products only (phases, copies, DAG), with every piece of
 // per-instance scratch stripped. A hit binds a fresh Plan to the calling
 // communicator (bind), sharing the masters' read-only structure; the
-// executors allocate their own scratch (pends, pipe, temp) lazily, so
+// executors allocate their own execution records lazily, so
 // concurrent executions of one cached entry from many goroutines never
 // touch shared mutable state.
 //

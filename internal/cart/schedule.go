@@ -379,35 +379,28 @@ type Plan struct {
 	volume  int
 	sendLen int // required send buffer length in elements (0 = unchecked)
 	recvLen int // required recv buffer length in elements
-	temp    any // cached temporary buffer ([]T of the last element type)
 
 	// flat and deps are the block-level dependency DAG over all rounds in
-	// phase-major order (dag.go); pipe is the executor's plan-owned scratch
-	// (pipeline.go), and ops the persistent send and receive of every
-	// round (a *roundOps[T] of the last element type), which Run restarts.
-	// fence is Run's posting policy (the execution-style options); window
-	// bounds the pipelined policy's receive pre-post depth.
+	// phase-major order (dag.go). fence is Run's posting policy (the
+	// execution-style options); window bounds the pipelined policy's
+	// receive pre-post depth.
 	flat   []*execRound
 	deps   []roundDep
-	pipe   *pipeState
-	ops    any
 	fence  fence
 	window int
 
-	// Progress-engine scratch pool (future.go): detached pipeStates and
-	// temp buffers for committed executions, so several futures of one
-	// plan can be in flight at once and steady-state Start/Wait cycles
-	// stay allocation-free. The mutex also guards asyncMaxTag, the
-	// memoized tag-span bound (commits happen on the caller's goroutine,
-	// releases on engine workers).
-	asyncMu     sync.Mutex
-	asyncFree   []*asyncScratch
-	asyncMaxTag int
+	// recFree pools the plan's execution records (pipeline.go), which Run
+	// and Start share: steady-state executions stay allocation-free, and
+	// several futures of one plan can be in flight at once. recMu guards
+	// it (commits happen on the caller's goroutine, releases on engine
+	// workers).
+	recMu   sync.Mutex
+	recFree []*execRecord
 	// tagFit memoizes asyncTagFits lock-free: 0 unknown, 1 fits, 2 not.
 	tagFit atomic.Int32
 	// engWkr is the 1-based engine-worker index this plan's executions are
 	// pinned to (0 = not yet pinned); all executions of one plan share its
-	// scratch pool, so they must stay under one drive lock. Commit-side
+	// record pool, so they must stay under one drive lock. Commit-side
 	// state, touched only by the communicator's owning goroutine — keeping
 	// it on the plan spares the engine a per-Start map lookup.
 	engWkr int
@@ -604,8 +597,9 @@ func (p *Plan) growTemp(geom BlockGeometry, b BufKind, slot int) {
 // completions in flat order, so the accounting does not depend on
 // goroutine scheduling, while pipelined sends still post the moment their
 // producers retire and the clock prices the DAG's depth rather than the
-// phase count. The element type binds at execution time; the temporary
-// buffer is cached on the plan across executions.
+// phase count. The element type binds at execution time; Run executes on
+// a pooled execution record, the same one Start commits, and drives it
+// inline to completion.
 func Run[T any](p *Plan, send, recv []T) error {
 	if p.alt != nil {
 		p = p.choose(elemBytesOf[T]())
@@ -619,40 +613,44 @@ func Run[T any](p *Plan, send, recv []T) error {
 		// so logged re-executions stay allocation-free).
 		p.rlog.Reset()
 	}
-	var temp []T
-	if p.tempLen > 0 {
-		if cached, ok := p.temp.([]T); ok && len(cached) >= p.tempLen {
-			temp = cached
-		} else {
-			temp = make([]T, p.tempLen)
-			p.temp = temp
-		}
-	}
-	bufs := [][]T{send, recv, temp}
-	ops, err := roundOpsFor[T](p, &p.ops)
+	rec := p.acquireRecord()
+	ex, err := shellFor[T](p, rec)
 	if err != nil {
+		p.releaseRecord(rec)
 		return err
 	}
-	err = execute(p, ops, bufs)
+	inOrder := p.fence != fenceNone || p.comm.comm.Model() != nil
+	if !inOrder {
+		if rec.ws == nil {
+			rec.ws = mpi.NewWaitSet(p.comm.comm, rec.nLive)
+		}
+		rec.ws.Reset()
+	}
+	e := &ex.pipeExec
+	e.rearm(send, recv, rec.ws)
+	e.rlog, e.fence, e.inOrder = p.rlog, p.fence, inOrder
+	e.timed = p.cmet != nil && p.fence == fenceNone
+	err = e.execute()
 	if err == nil {
 		for _, cp := range p.copies {
-			datatype.Copy(recv, cp.to, bufs[cp.fromBuf], cp.from)
+			datatype.Copy(recv, cp.to, e.bufs[cp.fromBuf], cp.from)
 		}
 		p.countRun()
 	}
-	// Every round slot is quiescent again, but keeps bufs until its next
-	// start: drop the caller's buffers from it so an idle plan does not pin
-	// them. (Not deferred: a rank unwinding from an injected crash leaves
-	// receives posted, and a late match must still find buffers to scatter
-	// into.)
-	clear(bufs)
+	// Every round slot is quiescent again, but keeps the buffers until its
+	// next start: drop the caller's from the shell so an idle plan does
+	// not pin them. (Not deferred: a rank unwinding from an injected crash
+	// leaves receives posted, and a late match must still find buffers to
+	// scatter into — its record stays out of the pool.)
+	e.bufs[0], e.bufs[1] = nil, nil
+	p.releaseRecord(rec)
 	return err
 }
 
-// roundOps is the typed half of a plan's executor scratch: the persistent
+// roundOps is the round slots of an execution shell: the persistent
 // receive and send of every schedule round, indexed like Plan.flat. A
 // round's two point-to-point operations are bound to (peer, tag, composite)
-// once, when the scratch is built, and restarted with the caller's buffers
+// once, when the shell is built, and restarted with the caller's buffers
 // on every execution, so executing a schedule creates no per-message
 // object (mpi/persistent.go).
 type roundOps[T any] struct {
@@ -664,13 +662,9 @@ type roundOps[T any] struct {
 // (or last) start.
 func (o *roundOps[T]) req(i int) *mpi.Request { return o.recv[i].Request() }
 
-// roundOpsFor returns the round slots cached in *cache, building and
-// binding them on first use — or again if the plan is executed with another
-// element type, as the cached temp buffer is.
-func roundOpsFor[T any](p *Plan, cache *any) (*roundOps[T], error) {
-	if ops, ok := (*cache).(*roundOps[T]); ok {
-		return ops, nil
-	}
+// bindRoundOps builds the round slots for element type T and binds each
+// to its peer, tag and composite.
+func bindRoundOps[T any](p *Plan) (*roundOps[T], error) {
 	n := len(p.flat)
 	ops := &roundOps[T]{recv: make([]mpi.RecvSlot[T], n), send: make([]mpi.SendSlot[T], n)}
 	comm := p.comm.comm
@@ -686,7 +680,6 @@ func roundOpsFor[T any](p *Plan, cache *any) (*roundOps[T], error) {
 			}
 		}
 	}
-	*cache = ops
 	return ops, nil
 }
 

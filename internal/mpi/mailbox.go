@@ -103,22 +103,23 @@ type pendingRecv struct {
 	// post→completion latency.
 	postNs int64
 	// notify, when non-nil, is posted notifyIdx exactly once, immediately
-	// before the ready handoff — the completion sink of a WaitSet
-	// (Waitsome). It is attached under the mailbox lock (attachNotify) and
+	// before the ready handoff — the WaitSet the receive was added to. It
+	// is attached under the mailbox lock (attachNotify) and
 	// only while the receive is still undelivered, so the handoff's read is
 	// ordered after the attach by the lock; the post-before-ready order
 	// guarantees the notification is queued by the time any Wait on the
-	// receive returns. The sink is unbounded, so the post never blocks.
-	notify    *notifySink
+	// receive returns. The set's queue is unbounded, so the post never
+	// blocks.
+	notify    *WaitSet
 	notifyIdx int
 	// notifyGate, when non-nil, coalesces a group of completions into one
 	// notification: each member's completion decrements the gate and only
-	// the one that reaches zero posts notifyIdx. Attached with the sink
-	// (attachNotifyGated); cancellation decrements like a completion.
+	// the one that reaches zero posts notifyIdx. Attached with the set
+	// (WaitSet.AddGated); cancellation decrements like a completion.
 	notifyGate *atomic.Int32
 }
 
-// handover posts to the attached WaitSet sink, if any, then hands the
+// handover posts to the attached WaitSet, if any, then hands the
 // matched message (or poison) to the receive's ready channel. Every
 // delivery path funnels through here so a completion waiter never misses a
 // match.
@@ -276,28 +277,23 @@ func (b *mailbox) detach(m *message) {
 	}
 }
 
-// attachNotify attaches a completion sink to a still-undelivered pending
+// attachNotify attaches a completion set to a still-undelivered pending
 // receive and reports whether it attached: false means a message or poison
 // has already been matched (its handoff may still be in flight) and the
 // caller must treat the receive as already complete. The delivered check and
-// the sink store happen under the mailbox lock, the same lock every
+// the set store happen under the mailbox lock, the same lock every
 // matcher holds when it sets delivered, so a successful attach is visible to
-// whichever goroutine later performs the handover.
-func (b *mailbox) attachNotify(p *pendingRecv, sink *notifySink, idx int) bool {
-	return b.attachNotifyGated(p, sink, idx, nil)
-}
-
-// attachNotifyGated is attachNotify with a completion-coalescing gate:
-// the receive's completion (or cancellation) decrements gate and posts
-// idx only on reaching zero. A false return means the receive already
-// completed — the caller owns the decrement for it.
-func (b *mailbox) attachNotifyGated(p *pendingRecv, sink *notifySink, idx int, gate *atomic.Int32) bool {
+// whichever goroutine later performs the handover. A non-nil gate
+// coalesces completions: the receive's completion (or cancellation)
+// decrements it and posts idx only on reaching zero; on a false return the
+// caller owns the decrement.
+func (b *mailbox) attachNotify(p *pendingRecv, set *WaitSet, idx int, gate *atomic.Int32) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if p.delivered.Load() {
 		return false
 	}
-	p.notify = sink
+	p.notify = set
 	p.notifyIdx = idx
 	p.notifyGate = gate
 	return true
@@ -651,8 +647,8 @@ func (b *mailbox) drainBelowEpoch(epoch int64) int {
 // until the watchdog. The post is the caller's job, not cancel's, so the
 // caller can finish the request (Request.Cancel records ErrCancelled)
 // before the notification can wake a Waitsome in another goroutine — the
-// sink post is what publishes those writes to the set's owner.
-func (b *mailbox) cancel(p *pendingRecv) (removed bool, notify *notifySink, idx int) {
+// set post is what publishes those writes to the set's owner.
+func (b *mailbox) cancel(p *pendingRecv) (removed bool, notify *WaitSet, idx int) {
 	b.mu.Lock()
 	removed = b.removeLocked(p)
 	if removed {

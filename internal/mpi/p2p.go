@@ -256,10 +256,10 @@ func layoutPayload[T any](c *Comm, buf []T, l datatype.Layout) payload {
 		c.rs.met.countSendPath(true, false)
 		return aliasOf(buf[off : off+n : off+n])
 	}
-	h, pooled := getWire[T](c.w, l.Size())
-	datatype.Gather((*h)[:l.Size()], buf, l)
+	b, pooled := getWire[T](c.w, l.Size())
+	datatype.Gather(b.s[:l.Size()], buf, l)
 	c.rs.met.countSendPath(false, pooled)
-	return wireOf(h, l.Size())
+	return wireOf(b, l.Size())
 }
 
 // checkLayoutSend validates the arguments of a layout send.

@@ -113,9 +113,9 @@ func (s *SendSlot[T]) Start(bufs [][]T, tagOff int) error {
 		c.rs.met.countSendPath(true, false)
 	} else {
 		n := s.comp.Size()
-		h, pooled := getWire[T](c.w, n)
-		datatype.GatherComposite((*h)[:n], bufs, s.comp)
-		pay = wireOf(h, n)
+		b, pooled := getWire[T](c.w, n)
+		datatype.GatherComposite(b.s[:n], bufs, s.comp)
+		pay = wireOf(b, n)
 		c.rs.met.countSendPath(false, pooled)
 	}
 	return c.send(pay, s.comp.Size()*elemBytes[T](), s.dst, int64(s.tag+tagOff))

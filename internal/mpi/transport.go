@@ -22,7 +22,7 @@ import (
 //     identically however the message arrived;
 //   - completion signaling is untouched: a remotely received message
 //     enters through mailbox.deliver on the destination process, so
-//     WaitSet/CompletionSink notification, deferred consume and poison
+//     WaitSet notification, deferred consume and poison
 //     semantics need no transport awareness at all.
 
 // ErrRemoteFailed marks a failure propagated from another process of a

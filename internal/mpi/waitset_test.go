@@ -3,6 +3,7 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -105,8 +106,8 @@ func TestWaitSetImmediateReady(t *testing.T) {
 }
 
 // TestWaitSetAddAfterMatch adds a receive whose message was already matched
-// before Add: attachNotify must refuse (delivered), and the owner must come
-// back through the readyNow path instead of a notification.
+// before Add: attachNotify must refuse (delivered), and the owner must be
+// queued as ready by Add itself instead of by a matcher's notification.
 func TestWaitSetAddAfterMatch(t *testing.T) {
 	run(t, 2, func(c *Comm) error {
 		if c.Rank() == 1 {
@@ -128,8 +129,8 @@ func TestWaitSetAddAfterMatch(t *testing.T) {
 		}
 		s := NewWaitSet(c, 1)
 		s.Add(req, 42)
-		if s.outstanding != 0 {
-			return fmt.Errorf("outstanding = %d after late add", s.outstanding)
+		if s.Pending() != 1 {
+			return fmt.Errorf("late add queued %d completion(s), want 1", s.Pending())
 		}
 		ready, err := s.Waitsome()
 		if err != nil {
@@ -138,76 +139,14 @@ func TestWaitSetAddAfterMatch(t *testing.T) {
 		if len(ready) != 1 || ready[0] != 42 {
 			return fmt.Errorf("ready = %v, want [42]", ready)
 		}
+		if s.outstanding != 0 {
+			return fmt.Errorf("outstanding = %d after the late add drained", s.outstanding)
+		}
 		if _, err := req.Wait(); err != nil {
 			return err
 		}
 		if buf[0] != 5 {
 			return fmt.Errorf("payload = %d", buf[0])
-		}
-		return nil
-	})
-}
-
-// TestWaitSetAggregate attaches an aggregate of two receives under one
-// owner: the owner is signaled exactly once per child — counted until the
-// set drains, since the aggregate can test done while the second child's
-// signal is still queued — and the set does not drain before the aggregate
-// tests done.
-func TestWaitSetAggregate(t *testing.T) {
-	run(t, 3, func(c *Comm) error {
-		if c.Rank() != 0 {
-			// No stagger needed: the assertions below hold for any arrival
-			// order (each child completion yields exactly one owner wake).
-			return SendSlice(c, []int{c.Rank()}, 0, 0)
-		}
-		b1 := make([]int, 1)
-		b2 := make([]int, 1)
-		r1, err := Irecv(c, b1, contiguousN(1), 1, 0)
-		if err != nil {
-			return err
-		}
-		r2, err := Irecv(c, b2, contiguousN(1), 2, 0)
-		if err != nil {
-			return err
-		}
-		agg := aggregate(c, []*Request{r1, r2})
-		s := NewWaitSet(c, 2)
-		s.Add(agg, 9)
-		wakes := 0
-		done := false
-		for {
-			ready, err := s.Waitsome()
-			if err != nil {
-				return err
-			}
-			if ready == nil {
-				break
-			}
-			for _, owner := range ready {
-				if owner != 9 {
-					return fmt.Errorf("owner token %d, want 9", owner)
-				}
-				wakes++
-			}
-			if done {
-				continue
-			}
-			// The aggregate may be complete on the first wake, when the
-			// second child's message was handed over before its wake was
-			// consumed; that wake is then still owed, so keep draining.
-			done = r1.pending.delivered.Load() && r2.pending.delivered.Load()
-		}
-		if !done {
-			return fmt.Errorf("set drained before aggregate completed")
-		}
-		if _, err := agg.Wait(); err != nil {
-			return err
-		}
-		if wakes != 2 {
-			return fmt.Errorf("aggregate owner signaled %d times, want 2", wakes)
-		}
-		if b1[0] != 1 || b2[0] != 2 {
-			return fmt.Errorf("payloads = %d %d", b1[0], b2[0])
 		}
 		return nil
 	})
@@ -443,6 +382,129 @@ func TestWaitSetReset(t *testing.T) {
 			if buf[0] != i+1 {
 				return fmt.Errorf("iteration %d: payload = %d", i, buf[0])
 			}
+		}
+		return nil
+	})
+}
+
+// TestWaitSetDrainAndWake covers the engine-side token plumbing: a
+// receive added before its message arrives posts its token on match, a
+// send and an injected Post are drained immediately, Pending mirrors the
+// queue without the lock, and Park consumes the wake the posts left.
+func TestWaitSetDrainAndWake(t *testing.T) {
+	run(t, 2, func(c *Comm) error {
+		if c.Rank() == 1 {
+			if _, err := RecvSlice(c, make([]int, 1), 0, 1); err != nil {
+				return err
+			}
+			return SendSlice(c, []int{42}, 0, 2)
+		}
+		s := NewWaitSet(c, 4)
+		buf := make([]int, 1)
+		r, err := Irecv(c, buf, contiguousN(1), 1, 2)
+		if err != nil {
+			return err
+		}
+		s.Add(r, 7)
+		snd, err := Isend(c, []int{9}, contiguousN(1), 1, 1)
+		if err != nil {
+			return err
+		}
+		s.Add(snd, 5) // sends complete at post time: queued immediately
+		s.Post(3)
+		if got := s.Pending(); got < 2 {
+			return fmt.Errorf("Pending() = %d before drain, want >= 2", got)
+		}
+		seen := map[int]bool{}
+		for len(seen) < 3 {
+			for _, tok := range s.TryDrain(nil) {
+				seen[tok] = true
+			}
+			if len(seen) == 3 {
+				break
+			}
+			if _, err := s.Park(); err != nil {
+				return err
+			}
+		}
+		if s.Pending() != 0 {
+			return fmt.Errorf("Pending() = %d after full drain, want 0", s.Pending())
+		}
+		if !seen[7] || !seen[5] || !seen[3] {
+			return fmt.Errorf("drained tokens = %v, want {3,5,7}", seen)
+		}
+		if _, err := r.Wait(); err != nil {
+			return err
+		}
+		if buf[0] != 42 {
+			return fmt.Errorf("payload = %d, want 42", buf[0])
+		}
+		_, err = snd.Wait()
+		return err
+	})
+}
+
+// TestWaitSetGated covers the countdown gate: three receives
+// attached under one token post it exactly once, when the last of them
+// completes — the caller's bias keeps the gate from firing while the
+// group is still being attached.
+func TestWaitSetGated(t *testing.T) {
+	const n = 3
+	run(t, 2, func(c *Comm) error {
+		if c.Rank() == 1 {
+			if _, err := RecvSlice(c, make([]int, 1), 0, 9); err != nil {
+				return err
+			}
+			for i := 0; i < n; i++ {
+				if err := SendSlice(c, []int{i}, 0, i); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		s := NewWaitSet(c, 4)
+		var gate atomic.Int32
+		gate.Store(1) // bias: the gate cannot fire mid-attach
+		bufs := make([][]int, n)
+		reqs := make([]*Request, n)
+		for i := 0; i < n; i++ {
+			bufs[i] = make([]int, 1)
+			r, err := Irecv(c, bufs[i], contiguousN(1), 1, i)
+			if err != nil {
+				return err
+			}
+			reqs[i] = r
+			s.AddGated(r, 11, &gate)
+		}
+		// All receives armed before any message exists: release the sender.
+		if err := SendSlice(c, []int{1}, 1, 9); err != nil {
+			return err
+		}
+		if gate.Add(-1) == 0 {
+			s.Post(11)
+		}
+		var toks []int
+		for len(toks) == 0 {
+			if toks = s.TryDrain(toks); len(toks) > 0 {
+				break
+			}
+			if _, err := s.Park(); err != nil {
+				return err
+			}
+		}
+		if len(toks) != 1 || toks[0] != 11 {
+			return fmt.Errorf("gated drain = %v, want exactly [11]", toks)
+		}
+		for i, r := range reqs {
+			if _, err := r.Wait(); err != nil {
+				return err
+			}
+			if bufs[i][0] != i {
+				return fmt.Errorf("payload %d = %d", i, bufs[i][0])
+			}
+		}
+		if s.Pending() != 0 {
+			return fmt.Errorf("gate posted more than once: %d pending", s.Pending())
 		}
 		return nil
 	})

@@ -22,21 +22,21 @@ const DefaultDeadlockPoll = time.Millisecond
 // release it (the monitor's liveness check reads only channel lengths, so
 // it never races with the rank).
 type blockedOp struct {
-	kind  string // "recv", "waitany", or "waitsome"
+	kind  string // "recv" or "waitsome"
 	src   int    // communicator-level source (recv kind; may be AnySource)
 	tag   int
 	ctx   int64
 	since time.Time
 	// pendings are the posted receives whose delivery releases the rank;
-	// srcWorlds are the corresponding exact source world ranks (-1 for
-	// wildcard), aligned by index.
+	// srcWorlds[0] is a recv kind's exact source world rank (-1 for
+	// wildcard).
 	pendings  []*pendingRecv
 	srcWorlds []int
 }
 
 // describe renders the blocked operation for the diagnostic report.
 func (op *blockedOp) describe() string {
-	if op.kind == "waitany" || op.kind == "waitsome" {
+	if op.kind == "waitsome" {
 		return fmt.Sprintf("%s over %d pending receive(s)", op.kind, len(op.pendings))
 	}
 	src := fmt.Sprintf("%d", op.src)

@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"math/bits"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"unsafe"
+	"weak"
 
 	"cartcc/internal/datatype"
 	"cartcc/internal/wire"
@@ -23,17 +26,59 @@ import (
 // Pools are keyed by element type (a []int32 can never be recycled as a
 // []float64) and bucketed by capacity class (powers of two), mirroring the
 // eager-buffer pools of real MPI implementations.
+//
+// A bucket is a sync.Pool (an idle world's wires go after two
+// collections) plus weak pointers to every wire it has made. A bare
+// sync.Pool would tie a long run's allocations to scheduling and GC
+// timing: it hides free wires in other Ps' private slots and in abandoned
+// victim caches, and two collections drop a spare that only a rare peak
+// needs. So a draw the pool cannot serve scans the registry first (get),
+// the first draw after a collection re-pools the free wires (refresh),
+// and a bucket with every live wire in flight grows to twice its peak
+// (grow). A wire's busy flag, claimed by CAS, keeps a wire reached through
+// the registry from being handed out again by a stale pool entry.
 
 // wireMaxClass bounds pooled capacities at 1<<wireMaxClass elements;
 // larger wires are plainly allocated and never pooled (at that size the
 // copy dominates the allocation anyway).
 const wireMaxClass = 24
 
-// wirePool is the per-element-type bucket array. Bucket c holds *[]T
-// holders whose slice has length and capacity exactly 1<<c; pooling the
-// holder, not the slice, keeps Get and Put free of interface boxing.
-type wirePool struct {
-	buckets [wireMaxClass + 1]sync.Pool
+// wireBuf is a wire (its slice spans the full bucket capacity) and whether
+// a drawer holds it; pooling the holder keeps Get and Put unboxed.
+type wireBuf[T any] struct {
+	s    []T
+	busy atomic.Bool
+}
+
+// wirePool is the per-element-type bucket array. Bucket c holds wires
+// whose slice has length and capacity exactly 1<<c.
+type wirePool[T any] struct {
+	buckets [wireMaxClass + 1]wireBucket[T]
+}
+
+// wireBucket is one capacity class: the pool, the gcEpoch of its last
+// refresh, and (under mu) its wires and most wires in flight at a miss.
+type wireBucket[T any] struct {
+	free  sync.Pool
+	epoch atomic.Uint32
+	mu    sync.Mutex
+	made  []weak.Pointer[wireBuf[T]]
+	peak  int
+}
+
+// gcEpoch counts collections: a cleanup on an unreachable sentinel (16
+// bytes with a pointer, so never tiny-allocated) runs after each one,
+// bumps it and arms the next.
+var (
+	gcEpoch     atomic.Uint32
+	gcWatchOnce sync.Once
+)
+
+func watchGC() {
+	runtime.AddCleanup(new(struct {
+		_ *byte
+		_ uintptr
+	}), func(struct{}) { gcEpoch.Add(1); watchGC() }, struct{}{})
 }
 
 // wireClass returns the bucket class for a wire of n elements: the
@@ -45,14 +90,85 @@ func wireClass(n int) int {
 	return bits.Len(uint(n - 1))
 }
 
-// wirePoolFor returns the world's pool for element type t, creating it on
+// wirePoolFor returns the world's pool for element type T, creating it on
 // first use.
-func (w *World) wirePoolFor(t reflect.Type) *wirePool {
+func wirePoolFor[T any](w *World) *wirePool[T] {
+	t := elemType[T]()
 	if v, ok := w.wirePools.Load(t); ok {
-		return v.(*wirePool)
+		return v.(*wirePool[T])
 	}
-	v, _ := w.wirePools.LoadOrStore(t, &wirePool{})
-	return v.(*wirePool)
+	gcWatchOnce.Do(watchGC)
+	v, _ := w.wirePools.LoadOrStore(t, &wirePool[T]{})
+	return v.(*wirePool[T])
+}
+
+// refresh re-pools every free live wire on the first draw after a
+// collection (the drawer that moves the bucket to epoch e), so what the
+// collection moved to the victim cache survives the next one for as long
+// as the world keeps drawing.
+func (bk *wireBucket[T]) refresh(e uint32) {
+	if old := bk.epoch.Load(); old == e || !bk.epoch.CompareAndSwap(old, e) {
+		return
+	}
+	bk.mu.Lock()
+	defer bk.mu.Unlock()
+	for _, wp := range bk.made {
+		if b := wp.Value(); b != nil && !b.busy.Load() {
+			bk.free.Put(b)
+		}
+	}
+}
+
+// get claims a free wire from the pool, skipping stale entries, or else
+// from the registry, pruning reclaimed wires; with every live wire busy
+// it returns nil and how many are live.
+func (bk *wireBucket[T]) get() (b *wireBuf[T], live int) {
+	for v := bk.free.Get(); v != nil; v = bk.free.Get() {
+		if b := v.(*wireBuf[T]); b.busy.CompareAndSwap(false, true) {
+			return b, 0
+		}
+	}
+	bk.mu.Lock()
+	defer bk.mu.Unlock()
+	kept := bk.made[:0]
+	for _, wp := range bk.made {
+		w := wp.Value()
+		if w == nil {
+			continue
+		}
+		kept = append(kept, wp)
+		if b == nil && w.busy.CompareAndSwap(false, true) {
+			b = w
+		}
+	}
+	clear(bk.made[len(kept):])
+	bk.made = kept
+	return b, len(kept)
+}
+
+// grow serves a draw that found every live wire in flight: it makes the
+// wire and pools spares up to twice the most wires in flight at a miss.
+// Peaks vary by a wire or two between operations, so one wire per miss
+// would keep allocating long after the first operations.
+func (bk *wireBucket[T]) grow(cl, live int) *wireBuf[T] {
+	bk.mu.Lock()
+	bk.peak = max(bk.peak, live+1)
+	spares := 2*bk.peak - live - 1
+	bk.mu.Unlock()
+	for range spares {
+		bk.free.Put(bk.alloc(cl, false))
+	}
+	return bk.alloc(cl, true)
+}
+
+// alloc makes a wire of the bucket's capacity and registers it.
+func (bk *wireBucket[T]) alloc(cl int, busy bool) *wireBuf[T] {
+	b := &wireBuf[T]{s: make([]T, 1<<cl)}
+	b.busy.Store(busy)
+	bk.mu.Lock()
+	bk.made = append(bk.made, weak.Make(b))
+	bk.mu.Unlock()
+	return b
 }
 
 // elemType returns the reflect.Type of T without allocating (a nil *T is
@@ -137,54 +253,58 @@ type wireOps[T any] struct{}
 func (wireOps[T]) elem() reflect.Type { return elemType[T]() }
 
 // getWire draws a wire of n elements from the world's pool, recycled when
-// a bucket entry is available; pooled reports whether it was (the
-// wire-pool hit/miss metric). The holder's slice spans the full bucket
-// capacity — callers use (*h)[:n] — and its contents are unspecified; every
+// a free wire of the bucket is still alive; pooled reports whether one was
+// (the wire-pool hit/miss metric). The wire's slice spans the full bucket
+// capacity — callers use b.s[:n] — and its contents are unspecified; every
 // caller fully overwrites the slice (Gather, copy).
-func getWire[T any](w *World, n int) (h *[]T, pooled bool) {
+func getWire[T any](w *World, n int) (b *wireBuf[T], pooled bool) {
 	w.wireOut.Add(1)
 	cl := wireClass(n)
 	if cl > wireMaxClass {
-		s := make([]T, n)
-		return &s, false
+		return &wireBuf[T]{s: make([]T, n)}, false
 	}
-	if v := w.wirePoolFor(elemType[T]()).buckets[cl].Get(); v != nil {
-		return v.(*[]T), true
+	bk := &wirePoolFor[T](w).buckets[cl]
+	if e := gcEpoch.Load(); bk.epoch.Load() != e {
+		bk.refresh(e)
 	}
-	s := make([]T, 1<<cl)
-	return &s, false
+	b, live := bk.get()
+	if b != nil {
+		return b, true
+	}
+	return bk.grow(cl, live), false
 }
 
 // putWire returns a wire drawn with getWire. Oversized wires are left to
 // the GC.
-func putWire[T any](w *World, h *[]T) {
+func putWire[T any](w *World, b *wireBuf[T]) {
 	w.wireOut.Add(-1)
-	cl := wireClass(cap(*h))
-	if cl > wireMaxClass || cap(*h) != 1<<cl {
+	cl := wireClass(cap(b.s))
+	if cl > wireMaxClass || cap(b.s) != 1<<cl {
 		return
 	}
-	w.wirePoolFor(elemType[T]()).buckets[cl].Put(h)
+	b.busy.Store(false)
+	wirePoolFor[T](w).buckets[cl].free.Put(b)
 }
 
-// wireOf is the payload owning the first n elements of the pooled wire h.
-func wireOf[T any](h *[]T, n int) payload {
+// wireOf is the payload owning the first n elements of the pooled wire b.
+func wireOf[T any](b *wireBuf[T], n int) payload {
 	return payload{
-		bufRef: bufRef{wt: wireOps[T]{}, data: unsafe.Pointer(unsafe.SliceData(*h)), elems: n},
-		hold:   unsafe.Pointer(h),
+		bufRef: bufRef{wt: wireOps[T]{}, data: unsafe.Pointer(unsafe.SliceData(b.s)), elems: n},
+		hold:   unsafe.Pointer(b),
 	}
 }
 
 func (wireOps[T]) detach(w *World, p *payload) {
 	src := unsafe.Slice((*T)(p.data), p.elems)
-	h, _ := getWire[T](w, len(src))
-	copy(*h, src)
-	*p = wireOf(h, len(src))
+	b, _ := getWire[T](w, len(src))
+	copy(b.s, src)
+	*p = wireOf(b, len(src))
 }
 
 func (wireOps[T]) release(w *World, p *payload) {
-	h := (*[]T)(p.hold)
+	b := (*wireBuf[T])(p.hold)
 	p.hold, p.data = nil, nil
-	putWire(w, h)
+	putWire(w, b)
 }
 
 func (wireOps[T]) clone(p *payload) {
@@ -192,8 +312,8 @@ func (wireOps[T]) clone(p *payload) {
 }
 
 func (wireOps[T]) draw(w *World, p *payload, n int) bool {
-	h, pooled := getWire[T](w, n)
-	*p = wireOf(h, n)
+	b, pooled := getWire[T](w, n)
+	*p = wireOf(b, n)
 	return pooled
 }
 

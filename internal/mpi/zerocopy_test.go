@@ -3,6 +3,7 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"time"
 	"unsafe"
 
@@ -218,7 +219,7 @@ type countingWire struct {
 
 // wire is a payload that owns s, as if s had been drawn from the pool.
 func (cw countingWire) wire(s []int) payload {
-	p := wireOf(&s, len(s))
+	p := wireOf(&wireBuf[int]{s: s}, len(s))
 	p.wt = cw
 	return p
 }
@@ -337,8 +338,8 @@ func (c *copyOut) consume(p *payload) error {
 func TestWirePoolRecycles(t *testing.T) {
 	w := &World{}
 	h, pooled := getWire[int32](w, 100)
-	if len(*h) != 128 || cap(*h) != 128 {
-		t.Fatalf("getWire(100) = len %d cap %d; want the full 128-element bucket", len(*h), cap(*h))
+	if len(h.s) != 128 || cap(h.s) != 128 {
+		t.Fatalf("getWire(100) = len %d cap %d; want the full 128-element bucket", len(h.s), cap(h.s))
 	}
 	if pooled {
 		t.Fatal("first getWire from an empty pool reported a pool hit")
@@ -361,8 +362,8 @@ func TestWirePoolRecycles(t *testing.T) {
 		w.wireOut.Add(1)
 		putWire(w, h)
 		again, hit := getWire[int32](w, 70)
-		if cap(*again) != 128 {
-			t.Fatalf("wire cap %d; want 128", cap(*again))
+		if cap(again.s) != 128 {
+			t.Fatalf("wire cap %d; want 128", cap(again.s))
 		}
 		recycled = again == h
 		if recycled && !hit {
@@ -373,12 +374,119 @@ func TestWirePoolRecycles(t *testing.T) {
 		t.Fatal("pool never recycled the released wire")
 	}
 	// Oversized and odd-capacity slices are never pooled.
-	big := make([]int32, 1<<wireMaxClass+1)
-	putWire(w, &big)
-	odd := make([]int32, 100) // cap 100: not a power of two
-	putWire(w, &odd)
-	if again, hit := getWire[int32](w, 100); hit && again == &odd {
+	big := &wireBuf[int32]{s: make([]int32, 1<<wireMaxClass+1)}
+	putWire(w, big)
+	odd := &wireBuf[int32]{s: make([]int32, 100)} // cap 100: not a power of two
+	putWire(w, odd)
+	if again, hit := getWire[int32](w, 100); hit && again == odd {
 		t.Fatal("odd-capacity wire was pooled")
+	}
+}
+
+// TestWirePoolFindsHiddenFreeWire checks the registry behind the pool: a
+// free wire the sync.Pool cannot hand out — here one never put back,
+// standing in for a wire in another P's private slot or in an abandoned
+// victim cache — is reused before the bucket allocates, and a pool entry
+// still naming a wire that was reclaimed that way is skipped while the
+// wire is busy. A bucket that does allocate doubles its in-flight count.
+func TestWirePoolFindsHiddenFreeWire(t *testing.T) {
+	w := &World{}
+	h, _ := getWire[int64](w, 64) // the first draw makes h and one spare
+	spare, hit := getWire[int64](w, 64)
+	if spare == h || !hit {
+		t.Fatalf("second draw (hit=%v) did not take the spare the first one pooled", hit)
+	}
+	h.busy.Store(false) // free, but in no pool slot
+	again, hit := getWire[int64](w, 64)
+	if again != h || !hit {
+		t.Fatalf("draw allocated a fresh wire (hit=%v) although a free one was alive", hit)
+	}
+	bk := &wirePoolFor[int64](w).buckets[wireClass(64)]
+	bk.free.Put(h) // stale: h is busy
+	other, hit := getWire[int64](w, 64)
+	if other == h || other == spare {
+		t.Fatal("pool handed out a wire that is still in use")
+	}
+	if hit {
+		t.Fatal("draw with every wire busy reported a pool hit")
+	}
+	bk.mu.Lock()
+	n := len(bk.made)
+	bk.mu.Unlock()
+	if n != 6 {
+		t.Fatalf("bucket holds %d wires after a miss with 3 in flight; want 6", n)
+	}
+	runtime.KeepAlive(spare)
+}
+
+// TestWirePoolLetsIdleWiresGo checks that the registry holds wires only
+// weakly: two collections free an idle world's pooled wires, as they
+// would a plain sync.Pool's, the next draw prunes them, and the bucket
+// comes back in one batch at twice its in-flight high-water mark.
+func TestWirePoolLetsIdleWiresGo(t *testing.T) {
+	w := &World{}
+	var held [3]*wireBuf[int64]
+	for i := range held {
+		held[i], _ = getWire[int64](w, 1<<12)
+	}
+	for _, b := range held {
+		putWire(w, b)
+	}
+	held = [3]*wireBuf[int64]{}
+	runtime.GC()
+	runtime.GC()
+	if _, hit := getWire[int64](w, 1<<12); hit {
+		t.Fatal("a pooled wire survived two collections of an idle world")
+	}
+	bk := &wirePoolFor[int64](w).buckets[12]
+	bk.mu.Lock()
+	n := len(bk.made)
+	bk.mu.Unlock()
+	if n != 6 {
+		t.Fatalf("bucket holds %d wires after the prune and regrowth; want 6 (twice its peak of 3 in flight)", n)
+	}
+}
+
+// TestWirePoolKeepsSparesWhileDrawing checks refresh: the spares a bucket
+// made for a peak survive any number of collections as long as the world
+// draws a wire between them, where a bare sync.Pool drops whatever two
+// collections find idle.
+func TestWirePoolKeepsSparesWhileDrawing(t *testing.T) {
+	w := &World{}
+	var held [3]*wireBuf[int64]
+	for i := range held {
+		held[i], _ = getWire[int64](w, 1<<12) // the bucket grows to 6
+	}
+	for _, b := range held {
+		putWire(w, b)
+	}
+	held = [3]*wireBuf[int64]{}
+	for range 4 {
+		before := gcEpoch.Load()
+		runtime.GC()
+		for deadline := time.Now().Add(5 * time.Second); gcEpoch.Load() == before; {
+			if time.Now().After(deadline) {
+				t.Fatal("gcEpoch did not advance after a collection")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		b, _ := getWire[int64](w, 1<<12)
+		putWire(w, b)
+	}
+	if raceEnabled {
+		return // the race detector's sync.Pool drops refresh's puts too
+	}
+	bk := &wirePoolFor[int64](w).buckets[12]
+	bk.mu.Lock()
+	live := 0
+	for _, wp := range bk.made {
+		if wp.Value() != nil {
+			live++
+		}
+	}
+	bk.mu.Unlock()
+	if live != 6 {
+		t.Fatalf("%d of the bucket's 6 wires survived four collections of a drawing world", live)
 	}
 }
 
